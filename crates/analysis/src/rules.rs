@@ -50,15 +50,12 @@ pub fn all() -> Vec<Box<dyn Rule>> {
     ]
 }
 
-/// Files whose decode/parse functions must be panic-free.
-const DECODE_FILES: [&str; 3] = [
-    "crates/core/src/persist.rs",
-    "crates/serve/src/protocol.rs",
-    "crates/core/src/registry.rs",
-];
-
+/// Files whose decode/parse functions must be panic-free: every source
+/// file of `habf-core` — the container codecs, the registry, the frozen
+/// old-format readers, and each filter's decode hooks — plus the wire
+/// protocol.
 fn is_decode_file(rel: &str) -> bool {
-    DECODE_FILES.iter().any(|s| rel.ends_with(s))
+    rel.starts_with("crates/core/src/") || rel.ends_with("crates/serve/src/protocol.rs")
 }
 
 /// A function is a decode function when its signature names one of the
@@ -81,7 +78,7 @@ impl Rule for DecodeNoPanic {
         "decode-no-panic"
     }
     fn description(&self) -> &'static str {
-        "decode/parse fns in persist.rs/protocol.rs/registry.rs must not \
+        "decode fns in crates/core/src and protocol.rs must not \
          unwrap/expect/index/`as`-narrow or use unchecked + - * <<"
     }
     fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
@@ -613,13 +610,30 @@ fn statement_end(b: &[u8], from: usize, limit: usize) -> (usize, bool) {
 
 struct RegistryFixtureParity;
 
+/// The ids registered when the `HABC` v1 container was retired: only
+/// these have a (frozen) v1 fixture. The list never grows.
+const FROZEN_V1_IDS: [&str; 11] = [
+    "habf",
+    "fhabf",
+    "sharded-habf",
+    "sharded-fhabf",
+    "bloom",
+    "weighted-bloom",
+    "xor",
+    "blocked-bloom",
+    "blocked-habf",
+    "binary-fuse",
+    "scalable-habf",
+];
+
 impl Rule for RegistryFixtureParity {
     fn id(&self) -> &'static str {
         "registry-fixture-parity"
     }
     fn description(&self) -> &'static str {
-        "every registry id has tests/golden/container_<id>_{v1,v2}.bin \
-         fixtures and appears in tests/api_surface.rs"
+        "every registry id has a tests/golden/container_<id>_v2.bin fixture \
+         (and a frozen _v1 one if it predates v1's retirement) and appears in \
+         tests/api_surface.rs"
     }
     fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
         let Some(reg) = ws.file_ending("crates/core/src/registry.rs") else {
@@ -642,7 +656,12 @@ impl Rule for RegistryFixtureParity {
             seen.push((id.to_string(), reg.line_of(pos)));
         }
         for (id, line) in seen {
-            for ver in ["v1", "v2"] {
+            let versions: &[&str] = if FROZEN_V1_IDS.contains(&id.as_str()) {
+                &["v1", "v2"]
+            } else {
+                &["v2"]
+            };
+            for ver in versions {
                 let fixture = format!("tests/golden/container_{id}_{ver}.bin");
                 if !ws.root().join(&fixture).is_file() {
                     out.push(Finding {

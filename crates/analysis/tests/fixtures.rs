@@ -87,6 +87,37 @@ fn every_rule_is_silenced_by_a_justified_allow() {
     }
 }
 
+/// The decode lints scan every `habf-core` source file, not a fixed
+/// list: each rule's `fires` fixture has a violation in `compat.rs` as
+/// well as in `persist.rs`.
+#[test]
+fn decode_rules_cover_every_core_source_file() {
+    for rule in ["decode-no-panic", "alloc-cap-before-len"] {
+        let rep = run(rule, "fires");
+        for file in ["crates/core/src/persist.rs", "crates/core/src/compat.rs"] {
+            assert!(
+                rep.findings.iter().any(|f| f.file == file),
+                "{rule}: no finding in {file}: {:?}",
+                rep.findings
+            );
+        }
+    }
+}
+
+/// Every registry id needs a v2 fixture; only the ids frozen with the v1
+/// container also need a v1 one.
+#[test]
+fn registry_parity_requires_v1_fixtures_only_for_frozen_ids() {
+    let rep = run("registry-fixture-parity", "fires");
+    let messages: Vec<&str> = rep.findings.iter().map(|f| f.message.as_str()).collect();
+    let has = |needle: &str| messages.iter().any(|m| m.contains(needle));
+    assert!(has("container_habf_v1.bin"), "{messages:?}");
+    assert!(has("container_demo_v2.bin"), "{messages:?}");
+    assert!(has("`demo` is not pinned"), "{messages:?}");
+    assert!(!has("container_demo_v1.bin"), "{messages:?}");
+    assert_eq!(messages.len(), 3, "{messages:?}");
+}
+
 #[test]
 fn an_allow_without_a_reason_does_not_suppress() {
     let rep = run("decode-no-panic", "unjustified");

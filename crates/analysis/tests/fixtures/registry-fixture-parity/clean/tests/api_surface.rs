@@ -1,1 +1,1 @@
-pub const REGISTERED_IDS: [&str; 1] = ["demo"];
+pub const REGISTERED_IDS: [&str; 2] = ["habf", "demo"];

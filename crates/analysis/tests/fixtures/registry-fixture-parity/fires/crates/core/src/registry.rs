@@ -1,6 +1,12 @@
 pub fn entries() -> Vec<Entry> {
-    vec![Entry {
-        id: "demo",
-        build: build_demo,
-    }]
+    vec![
+        Entry {
+            id: "habf",
+            build: build_habf,
+        },
+        Entry {
+            id: "demo",
+            build: build_demo,
+        },
+    ]
 }

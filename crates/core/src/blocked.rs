@@ -398,7 +398,9 @@ impl BlockedHabf {
     /// must name a registered hash and the Bloom array must span whole
     /// blocks.
     pub(crate) fn try_from_decoded(d: Decoded) -> Result<Self, PersistError> {
-        let selector = HashFunction::from_registry_index((d.sim_seed >> 56) as usize)
+        let selector = usize::try_from(d.sim_seed >> 56)
+            .ok()
+            .and_then(HashFunction::from_registry_index)
             .ok_or(PersistError::Corrupt("unknown block-selector hash"))?;
         if d.bloom.is_empty() || d.bloom.len() % BLOCK_BITS != 0 {
             return Err(PersistError::Corrupt(
@@ -417,21 +419,6 @@ impl BlockedHabf {
             h0: d.h0,
             stats: BuildStats::default(),
         })
-    }
-
-    /// Serializes the filter (legacy single-filter image, kind 2).
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        persist::encode(&self.image())
-    }
-
-    /// Loads a filter persisted by [`BlockedHabf::to_bytes`].
-    ///
-    /// # Errors
-    /// Returns a [`PersistError`] on any malformed input; never panics
-    /// on untrusted bytes.
-    pub fn from_bytes(buf: &[u8]) -> Result<Self, PersistError> {
-        Self::try_from_decoded(persist::decode(buf, 2)?)
     }
 }
 
@@ -573,10 +560,11 @@ mod tests {
         let pos = keys(1_500, "pos");
         let neg = costed(1_500, "neg");
         let f = BlockedHabf::build(&pos, &neg, &config(1_500 * 10));
-        let g = BlockedHabf::from_bytes(&f.to_bytes()).expect("roundtrip");
-        assert_eq!(g.family().selector(), f.family().selector());
-        assert_eq!(g.family().seed(), f.family().seed());
-        assert_eq!(g.blocks(), f.blocks());
+        let image = crate::DynFilter::to_container_bytes(&f);
+        let g = crate::registry::load(&image).expect("roundtrip").filter;
+        // The selector and block seed ride in the image: byte-identical
+        // re-encoding means they survived.
+        assert_eq!(g.to_container_bytes(), image);
         for k in pos.iter().chain(keys(500, "other").iter()) {
             assert_eq!(f.contains(k), g.contains(k));
         }
@@ -587,14 +575,17 @@ mod tests {
         let pos = keys(200, "pos");
         let neg = costed(50, "neg");
         let f = BlockedHabf::build(&pos, &neg, &config(200 * 12));
-        let mut bytes = f.to_bytes();
-        // sim_seed lives after magic(4) version(1) kind(1) k(1) cell_bits(1)
-        // h0_len(1) h0(k) family(8); poison its top byte.
-        let off = 9 + f.h0().len() + 8 + 7;
+        let mut bytes = crate::DynFilter::to_container_bytes(&f);
+        // sim_seed lives after meta_len(8) kind(1) k(1) cell_bits(1)
+        // h0_len(1) h0(k) family(8) in the payload; poison its top byte.
+        let payload = persist::decode_container(&bytes)
+            .expect("container")
+            .payload_offset;
+        let off = payload + 12 + f.h0().len() + 8 + 7;
         bytes[off] = 0xFF;
         assert!(matches!(
-            BlockedHabf::from_bytes(&bytes),
-            Err(PersistError::Corrupt("unknown block-selector hash"))
+            crate::registry::load(&bytes).err(),
+            Some(PersistError::Corrupt("unknown block-selector hash"))
         ));
     }
 

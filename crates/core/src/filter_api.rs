@@ -483,23 +483,16 @@ pub trait DynFilter: Filter {
     /// [`Filter::name`], which is the paper-style display name.
     fn filter_id(&self) -> &'static str;
 
-    /// Serializes the filter's **v1** payload (the opaque codec the
-    /// registry entry for [`DynFilter::filter_id`] decodes from v1
-    /// containers and the legacy formats). Most callers want
-    /// [`DynFilter::write_to`], which writes the current aligned v2
-    /// container instead.
-    fn write_payload(&self, out: &mut Vec<u8>);
-
-    /// Serializes the filter's **v2** payload: scalar metadata into
+    /// Serializes the filter's container payload: scalar metadata into
     /// `out.meta()`, bulk `u64` word arrays as aligned frames via
     /// `out.frame(..)`. This is what makes the written image loadable
     /// zero-copy through [`crate::registry::load_mmap`].
     fn write_payload_v2<'a>(&'a self, out: &mut persist::FrameWriter<'a>);
 
-    /// Appends the filter as a self-describing `HABC` **v2** container
-    /// (magic, version, filter id, aligned meta + word frames) — the
-    /// format [`crate::registry::load`] and the zero-copy loaders read
-    /// back for any registered id.
+    /// Appends the filter as a self-describing `HABC` v2 container
+    /// (magic, version, filter id, aligned meta + word frames) — the one
+    /// format the workspace writes, which [`crate::registry::load`] and
+    /// the zero-copy loaders read back for any registered id.
     fn write_to(&self, out: &mut Vec<u8>) {
         let mut fw = persist::FrameWriter::new();
         self.write_payload_v2(&mut fw);
@@ -510,17 +503,6 @@ pub trait DynFilter: Filter {
     fn to_container_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         self.write_to(&mut out);
-        out
-    }
-
-    /// The filter as a **v1** container (previous envelope, opaque
-    /// payload) — for tooling that must produce images for pre-v2
-    /// readers. New images should use [`DynFilter::to_container_bytes`].
-    fn to_container_bytes_v1(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
-        self.write_payload(&mut payload);
-        let mut out = Vec::new();
-        persist::encode_container(self.filter_id(), &payload, &mut out);
         out
     }
 
@@ -607,20 +589,10 @@ pub trait Rebuildable {
 /// Inserts are **infallible** — a growable filter never refuses a key.
 /// When it can no longer add tiers it degrades its TP/FP trade-off
 /// (overfilling the newest tier) instead of failing the insert; callers
-/// watch [`Growable::saturation`] (mirrored on
-/// [`DynFilter::saturation`]) and schedule a
+/// watch [`DynFilter::saturation`] and schedule a
 /// [`crate::adapt::RebuildKind::Compact`] fold-back when it climbs.
 pub trait Growable {
     /// Adds a key. Zero false negatives hold for every inserted key from
     /// the moment this returns.
     fn insert(&mut self, key: &[u8]);
-
-    /// Keys held over design capacity — the growth pressure gauge. Stays
-    /// ≤ `1.0` while new tiers absorb growth; climbs past `1.0` once the
-    /// tier cap forces the newest tier to overfill.
-    fn saturation(&self) -> f64;
-
-    /// Live tier count (each generation is one probe round at query
-    /// time, so this is also the worst-case probe multiplier).
-    fn generations(&self) -> usize;
 }

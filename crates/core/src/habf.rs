@@ -387,8 +387,9 @@ impl Habf {
         }
     }
 
-    /// Rebuilds a filter from a decoded persist image (legacy or v2; the
-    /// storage may be owned words or a zero-copy view).
+    /// Rebuilds a filter from a decoded persist image (v2 or legacy; the
+    /// storage may be owned words or a zero-copy view). Build-time
+    /// [`BuildStats`] are not persisted.
     pub(crate) fn from_decoded(d: crate::persist::Decoded) -> Self {
         Self {
             bloom: d.bloom,
@@ -397,22 +398,6 @@ impl Habf {
             family: HashFamily::with_size(d.family),
             stats: BuildStats::default(),
         }
-    }
-
-    /// Serializes the filter to the versioned binary image described in
-    /// [`crate::persist`]. Build-time [`BuildStats`] are *not* persisted.
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        crate::persist::encode(&self.image())
-    }
-
-    /// Loads a filter persisted by [`Habf::to_bytes`].
-    ///
-    /// # Errors
-    /// Returns a [`crate::persist::PersistError`] on any malformed input;
-    /// never panics on untrusted bytes.
-    pub fn from_bytes(buf: &[u8]) -> Result<Self, crate::persist::PersistError> {
-        Ok(Self::from_decoded(crate::persist::decode(buf, 0)?))
     }
 }
 
@@ -594,20 +579,6 @@ impl FHabf {
             family: habf_hashing::double::SimulatedFamily::new(d.family, d.sim_seed),
             stats: BuildStats::default(),
         }
-    }
-
-    /// Serializes the filter (see [`Habf::to_bytes`]).
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        crate::persist::encode(&self.image())
-    }
-
-    /// Loads a filter persisted by [`FHabf::to_bytes`].
-    ///
-    /// # Errors
-    /// Returns a [`crate::persist::PersistError`] on any malformed input.
-    pub fn from_bytes(buf: &[u8]) -> Result<Self, crate::persist::PersistError> {
-        Ok(Self::from_decoded(crate::persist::decode(buf, 1)?))
     }
 }
 
@@ -811,8 +782,9 @@ mod tests {
         for (k, _) in &neg {
             assert!(!f.contains(k), "empty filter accepted a key");
         }
-        let restored = Habf::from_bytes(&f.to_bytes()).expect("empty filter persists");
-        assert!(!restored.contains(b"anything"));
+        let image = crate::DynFilter::to_container_bytes(&f);
+        let restored = crate::registry::load(&image).expect("empty filter persists");
+        assert!(!restored.filter.contains(b"anything"));
     }
 
     #[test]

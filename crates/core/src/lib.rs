@@ -56,6 +56,7 @@
 
 pub mod adapt;
 pub mod blocked;
+mod compat;
 pub mod filter_api;
 pub mod gamma;
 pub mod habf;

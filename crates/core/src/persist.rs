@@ -1,15 +1,17 @@
-//! Persistence: serialize built filters to compact binary formats and
-//! load them back.
+//! Persistence: serialize built filters to one binary format and load
+//! them back.
 //!
 //! The intended deployment (and the paper's setting) builds filters
 //! *offline*, where the negative keys and costs are collected, and ships
-//! them to query servers. The formats:
+//! them to query servers, so the image format is the contract between the
+//! builder and the server.
 //!
-//! The **`HABC` v2 container** is the current, self-describing envelope
-//! every [`crate::DynFilter`] writes through [`crate::DynFilter::write_to`]
-//! and the [`crate::registry`] loads. Its payload separates small scalar
-//! *metadata* from the bulk `u64` **word frames**, and pads so every frame
-//! starts at a file offset that is a multiple of 8:
+//! The **`HABC` v2 container** is the only format the workspace writes:
+//! every [`crate::DynFilter`] writes it through
+//! [`crate::DynFilter::write_to`] and the [`crate::registry`] loads it.
+//! Its payload separates small scalar *metadata* from the bulk `u64`
+//! **word frames**, and pads so every frame starts at a file offset that
+//! is a multiple of 8:
 //!
 //! ```text
 //! magic "HABC" | version u8 (2) | id_len u8 | filter-id bytes (ASCII)
@@ -28,67 +30,31 @@
 //! Frame offsets are validated on load: a non-multiple-of-8 offset is the
 //! typed [`PersistError::Misaligned`].
 //!
-//! The **`HABC` v1 container** is the previous envelope (same header, no
-//! alignment pad, one opaque payload blob):
-//!
-//! ```text
-//! magic "HABC" | version u8 (1) | id_len u8 | filter-id bytes (ASCII)
-//! payload_len u64 | payload bytes…
-//! ```
-//!
-//! v1 images keep loading byte-for-byte through the per-id copying
-//! codecs; only newly written images use v2.
-//!
 //! The filter id names the payload codec in the registry, so any
 //! registered filter — HABF family or baseline — round-trips through one
 //! format, and loaders reject unknown ids with a typed error instead of
 //! misparsing the payload.
 //!
-//! The **legacy `HABF` image** (unsharded HABF / f-HABF) doubles as the
-//! container payload for those ids, so pre-container images remain
-//! loadable byte-for-byte:
-//!
-//! ```text
-//! magic "HABF" | version u8 | kind u8 (0 = HABF, 1 = f-HABF)
-//! k u8 | cell_bits u8 | h0_len u8 | h0 bytes…
-//! family u64 (member count, or simulated size)
-//! sim_seed u64 (f-HABF only; 0 otherwise)
-//! m u64 | bloom words…
-//! omega u64 | inserted u64 | cell words…
-//! ```
-//!
-//! The **legacy `HABS` image** frames per-shard `HABF` blobs the same way
-//! and likewise doubles as the sharded ids' container payload.
+//! Older images — the `HABC` v1 container (same header, no alignment
+//! pad, one opaque payload) and the pre-container `HABF` / `HABS` images
+//! — still load through [`crate::registry::load`], which hands them to
+//! the frozen readers in the crate-private `compat` module. Nothing
+//! writes them any more; `habf migrate` upgrades them to v2.
 //!
 //! Hash-function ids are stable across versions (pinned by the golden
 //! vectors in `habf-hashing`), so a persisted HashExpressor chain decodes
-//! to the same functions forever. The entry points are
-//! [`crate::Habf::to_bytes`] / [`crate::Habf::from_bytes`] and their
-//! [`crate::FHabf`] counterparts (legacy images), and
-//! [`crate::registry::load`] (any format).
+//! to the same functions forever.
 
 use crate::hash_expressor::HashExpressor;
 use habf_hashing::HashId;
 use habf_util::{BitVec, ImageBytes, PackedCells, SharedWords, Words};
 use std::sync::Arc;
 
-pub(crate) const MAGIC: &[u8; 4] = b"HABF";
-const VERSION: u8 = 1;
-
-/// Magic for the sharded container format framing per-shard blobs.
-pub(crate) const SHARDED_MAGIC: &[u8; 4] = b"HABS";
-const SHARDED_VERSION: u8 = 1;
-
 /// Magic of the self-describing container format.
 pub(crate) const CONTAINER_MAGIC: &[u8; 4] = b"HABC";
 
 /// Current container version: aligned word frames, zero-copy loadable.
 pub const CONTAINER_VERSION: u8 = 2;
-
-/// The previous container version (opaque unaligned payload). Still
-/// readable; [`crate::DynFilter::to_container_bytes_v1`] still writes it
-/// for compatibility tooling.
-pub const CONTAINER_VERSION_V1: u8 = 1;
 
 /// Longest filter id the container header can name.
 const MAX_ID_LEN: usize = 64;
@@ -241,28 +207,6 @@ pub struct DecodedContainer<'a> {
     pub payload_offset: usize,
 }
 
-/// Appends a **v1** self-describing container — header naming `id`, then
-/// the length-framed opaque `payload` — to `out`. New images should go
-/// through [`crate::DynFilter::write_to`] (v2); this writer exists for
-/// compatibility tooling and tests.
-///
-/// # Panics
-/// Panics if `id` is empty, longer than 64 bytes, or not ASCII (registry
-/// ids are short ASCII slugs by construction).
-pub fn encode_container(id: &str, payload: &[u8], out: &mut Vec<u8>) {
-    assert!(
-        !id.is_empty() && id.len() <= MAX_ID_LEN && id.is_ascii(),
-        "filter id must be 1..=64 ASCII bytes"
-    );
-    out.reserve(14 + id.len() + payload.len());
-    out.extend_from_slice(CONTAINER_MAGIC);
-    out.push(CONTAINER_VERSION_V1);
-    out.push(id.len() as u8);
-    out.extend_from_slice(id.as_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-}
-
 /// Collects a codec's v2 payload: a small metadata blob plus the borrowed
 /// `u64` word frames, which [`encode_container_v2`] lays out with 8-byte
 /// alignment. Filled in by [`crate::DynFilter::write_payload_v2`].
@@ -310,7 +254,8 @@ pub struct FrameEntry {
 /// 8-byte boundary of the image.
 ///
 /// # Panics
-/// Panics on an invalid id (see [`encode_container`]) or more than
+/// Panics if `id` is empty, longer than 64 bytes, or not ASCII (registry
+/// ids are short ASCII slugs by construction), or on more than
 /// `MAX_FRAMES` frames (unreachable for registered codecs).
 pub fn encode_container_v2(id: &str, fw: &FrameWriter<'_>, out: &mut Vec<u8>) {
     assert!(
@@ -377,7 +322,7 @@ pub fn decode_container(buf: &[u8]) -> Result<DecodedContainer<'_>, PersistError
         return Err(PersistError::BadMagic);
     }
     let version = r.u8()?;
-    if version != CONTAINER_VERSION && version != CONTAINER_VERSION_V1 {
+    if version != CONTAINER_VERSION && version != crate::compat::CONTAINER_VERSION_V1 {
         return Err(PersistError::BadVersion(version));
     }
     let id_len = usize::from(r.u8()?);
@@ -604,6 +549,8 @@ impl<'a> FrameSource<'a> {
     }
 }
 
+/// The fields of one HABF-family filter (`Habf`, `FHabf`,
+/// `BlockedHabf`), borrowed for writing.
 pub(crate) struct Image<'a> {
     pub kind: u8,
     pub k: usize,
@@ -615,32 +562,7 @@ pub(crate) struct Image<'a> {
     pub he: &'a HashExpressor,
 }
 
-pub(crate) fn encode(img: &Image<'_>) -> Vec<u8> {
-    let bloom_words = img.bloom.words();
-    let cell_words = img.he.cells().words();
-    let mut out =
-        Vec::with_capacity(32 + img.h0.len() + 8 * (bloom_words.len() + cell_words.len()));
-    out.extend_from_slice(MAGIC);
-    out.push(VERSION);
-    out.push(img.kind);
-    out.push(img.k as u8);
-    out.push(img.cell_bits as u8);
-    out.push(img.h0.len() as u8);
-    out.extend_from_slice(&img.h0);
-    out.extend_from_slice(&(img.family as u64).to_le_bytes());
-    out.extend_from_slice(&img.sim_seed.to_le_bytes());
-    out.extend_from_slice(&(img.bloom.len() as u64).to_le_bytes());
-    for w in bloom_words {
-        out.extend_from_slice(&w.to_le_bytes());
-    }
-    out.extend_from_slice(&(img.he.omega() as u64).to_le_bytes());
-    out.extend_from_slice(&(img.he.inserted() as u64).to_le_bytes());
-    for w in cell_words {
-        out.extend_from_slice(&w.to_le_bytes());
-    }
-    out
-}
-
+/// One decoded HABF-family filter, ready for the type's `from_decoded`.
 pub(crate) struct Decoded {
     pub h0: Vec<HashId>,
     pub family: usize,
@@ -657,8 +579,8 @@ pub(crate) trait V2Shard: Sized {
     fn from_decoded(d: Decoded) -> Self;
 }
 
-/// Writes the v2 metadata block of one HABF-family image (everything the
-/// legacy format stores *except* the bulk words, which go into frames):
+/// Writes the v2 metadata block of one HABF-family image (every field
+/// except the bulk words, which go into frames):
 ///
 /// ```text
 /// kind u8 | k u8 | cell_bits u8 | h0_len u8 | h0 bytes…
@@ -685,12 +607,24 @@ pub(crate) fn push_v2_frames<'a>(img: &Image<'a>, fw: &mut FrameWriter<'a>) {
 }
 
 /// Decodes one HABF-family v2 metadata block (written by
-/// [`encode_v2_meta`]) and pulls its two word frames from `frames`,
-/// applying the same range validation as the legacy [`decode`].
+/// [`encode_v2_meta`]) and pulls its two word frames from `frames`.
 pub(crate) fn decode_v2_meta(
     r: &mut Reader<'_>,
     expect_kind: u8,
     frames: &mut FrameSource<'_>,
+) -> Result<Decoded, PersistError> {
+    decode_habf_fields(r, expect_kind, |_, n| frames.next_words(n))
+}
+
+/// Decodes and range-checks the HABF-family fields in the order both the
+/// v2 metadata block and the legacy `HABF` image store them. `words`
+/// supplies each word array once its length is known — the bloom bits
+/// right after `m`, the expressor cells after `inserted` — from a v2
+/// frame or inline from `r` (the legacy image).
+pub(crate) fn decode_habf_fields<'a>(
+    r: &mut Reader<'a>,
+    expect_kind: u8,
+    mut words: impl FnMut(&mut Reader<'a>, usize) -> Result<Words, PersistError>,
 ) -> Result<Decoded, PersistError> {
     let kind = r.u8()?;
     if kind != expect_kind {
@@ -727,74 +661,7 @@ pub(crate) fn decode_v2_meta(
     if m == 0 {
         return Err(PersistError::Corrupt("empty Bloom array"));
     }
-    let omega = r.count()?;
-    if omega == 0 {
-        return Err(PersistError::Corrupt("empty HashExpressor"));
-    }
-    let inserted = r.count()?;
-    let bloom_words = frames.next_words(m.div_ceil(64))?;
-    let bloom = BitVec::from_store(bloom_words, m);
-    // Checked: a corrupt omega near usize::MAX must error, not overflow.
-    let cell_word_count = omega
-        .checked_mul(usize::try_from(cell_bits).unwrap_or(usize::MAX))
-        .ok_or(PersistError::Truncated)?
-        .div_ceil(64);
-    let cell_words = frames.next_words(cell_word_count)?;
-    let cells = PackedCells::from_store(cell_words, omega, cell_bits);
-    Ok(Decoded {
-        h0,
-        family,
-        sim_seed,
-        bloom,
-        he: HashExpressor::from_parts(cells, k, inserted),
-    })
-}
-
-pub(crate) fn decode(buf: &[u8], expect_kind: u8) -> Result<Decoded, PersistError> {
-    let mut r = Reader::new(buf);
-    if r.bytes(4)? != MAGIC {
-        return Err(PersistError::BadMagic);
-    }
-    let version = r.u8()?;
-    if version != VERSION {
-        return Err(PersistError::BadVersion(version));
-    }
-    let kind = r.u8()?;
-    if kind != expect_kind {
-        return Err(PersistError::WrongKind);
-    }
-    let k = usize::from(r.u8()?);
-    let cell_bits = u32::from(r.u8()?);
-    if k == 0 || k > crate::MAX_K {
-        return Err(PersistError::Corrupt("k out of range"));
-    }
-    if !(2..=16).contains(&cell_bits) {
-        return Err(PersistError::Corrupt("cell width out of range"));
-    }
-    let h0_len = usize::from(r.u8()?);
-    if h0_len != k {
-        return Err(PersistError::Corrupt("H0 length differs from k"));
-    }
-    let h0: Vec<HashId> = r.bytes(h0_len)?.to_vec();
-    let family = r.count()?;
-    // cell_bits ∈ 2..=16 (checked above); `checked_shl` keeps a corrupt
-    // width from wrapping the id-space bound.
-    let max_id = 1usize
-        .checked_shl(cell_bits.saturating_sub(1))
-        .and_then(|v| v.checked_sub(1))
-        .ok_or(PersistError::Corrupt("cell width out of range"))?;
-    if family == 0 || family > max_id {
-        return Err(PersistError::Corrupt("family size out of id space"));
-    }
-    if h0.iter().any(|&id| id == 0 || usize::from(id) > family) {
-        return Err(PersistError::Corrupt("H0 id out of family"));
-    }
-    let sim_seed = r.u64()?;
-    let m = r.count()?;
-    if m == 0 {
-        return Err(PersistError::Corrupt("empty Bloom array"));
-    }
-    let bloom = BitVec::from_words(r.words(m.div_ceil(64))?, m);
+    let bloom = BitVec::from_store(words(r, m.div_ceil(64))?, m);
     let omega = r.count()?;
     if omega == 0 {
         return Err(PersistError::Corrupt("empty HashExpressor"));
@@ -805,156 +672,19 @@ pub(crate) fn decode(buf: &[u8], expect_kind: u8) -> Result<Decoded, PersistErro
         .checked_mul(usize::try_from(cell_bits).unwrap_or(usize::MAX))
         .ok_or(PersistError::Truncated)?
         .div_ceil(64);
-    let cells = PackedCells::from_words(r.words(cell_word_count)?, omega, cell_bits);
-    r.finish()?;
-    let _ = kind;
+    let cells = PackedCells::from_store(words(r, cell_word_count)?, omega, cell_bits);
     Ok(Decoded {
         h0,
         family,
         sim_seed,
         bloom,
         he: HashExpressor::from_parts(cells, k, inserted),
-    })
-}
-
-/// Encodes the sharded container image: a header naming the splitter,
-/// followed by length-framed per-shard blobs (each a complete [`encode`]
-/// image).
-///
-/// ```text
-/// magic "HABS" | version u8 | kind u8 (0 = HABF, 1 = f-HABF)
-/// shards u32 | splitter_seed u64 | built_keys u64 | inserted u64
-/// per shard: blob_len u64 | blob bytes…
-/// ```
-pub(crate) fn encode_sharded(
-    kind: u8,
-    splitter_seed: u64,
-    built_keys: u64,
-    inserted: u64,
-    blobs: &[Vec<u8>],
-) -> Vec<u8> {
-    let payload: usize = blobs.iter().map(|b| 8 + b.len()).sum();
-    let mut out = Vec::with_capacity(34 + payload);
-    out.extend_from_slice(SHARDED_MAGIC);
-    out.push(SHARDED_VERSION);
-    out.push(kind);
-    out.extend_from_slice(&(blobs.len() as u32).to_le_bytes());
-    out.extend_from_slice(&splitter_seed.to_le_bytes());
-    out.extend_from_slice(&built_keys.to_le_bytes());
-    out.extend_from_slice(&inserted.to_le_bytes());
-    for blob in blobs {
-        out.extend_from_slice(&(blob.len() as u64).to_le_bytes());
-        out.extend_from_slice(blob);
-    }
-    out
-}
-
-pub(crate) struct ShardedDecoded<'a> {
-    pub splitter_seed: u64,
-    pub built_keys: u64,
-    pub inserted: u64,
-    pub blobs: Vec<&'a [u8]>,
-}
-
-pub(crate) fn decode_sharded(
-    buf: &[u8],
-    expect_kind: u8,
-) -> Result<ShardedDecoded<'_>, PersistError> {
-    let mut r = Reader::new(buf);
-    if r.bytes(4)? != SHARDED_MAGIC {
-        return Err(PersistError::BadMagic);
-    }
-    let version = r.u8()?;
-    if version != SHARDED_VERSION {
-        return Err(PersistError::BadVersion(version));
-    }
-    let kind = r.u8()?;
-    if kind != expect_kind {
-        return Err(PersistError::WrongKind);
-    }
-    let shards = usize::try_from(r.u32()?).map_err(|_| PersistError::Truncated)?;
-    if shards == 0 || shards > MAX_SHARDS {
-        return Err(PersistError::Corrupt("shard count out of range"));
-    }
-    let splitter_seed = r.u64()?;
-    let built_keys = r.u64()?;
-    let inserted = r.u64()?;
-    let mut blobs = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        let len = r.u64()?;
-        let len = usize::try_from(len).map_err(|_| PersistError::Truncated)?;
-        blobs.push(r.bytes(len)?);
-    }
-    r.finish()?;
-    Ok(ShardedDecoded {
-        splitter_seed,
-        built_keys,
-        inserted,
-        blobs,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::habf::{FHabf, Habf, HabfConfig};
-    use habf_filters::Filter;
-
-    type Workload = (Vec<Vec<u8>>, Vec<(Vec<u8>, f64)>);
-
-    fn sample() -> Workload {
-        let pos: Vec<Vec<u8>> = (0..2_000)
-            .map(|i| format!("pos:{i}").into_bytes())
-            .collect();
-        let neg: Vec<(Vec<u8>, f64)> = (0..2_000)
-            .map(|i| (format!("neg:{i}").into_bytes(), 1.0 + (i % 9) as f64))
-            .collect();
-        (pos, neg)
-    }
-
-    #[test]
-    fn habf_roundtrip_preserves_every_answer() {
-        let (pos, neg) = sample();
-        let original = Habf::build(&pos, &neg, &HabfConfig::with_total_bits(2_000 * 10));
-        let bytes = original.to_bytes();
-        let restored = Habf::from_bytes(&bytes).expect("roundtrip");
-        for k in &pos {
-            assert!(restored.contains(k));
-        }
-        for (k, _) in &neg {
-            assert_eq!(original.contains(k), restored.contains(k));
-        }
-        assert_eq!(original.space_bits(), restored.space_bits());
-    }
-
-    #[test]
-    fn fhabf_roundtrip_preserves_every_answer() {
-        let (pos, neg) = sample();
-        let original = FHabf::build(&pos, &neg, &HabfConfig::with_total_bits(2_000 * 10));
-        let bytes = original.to_bytes();
-        let restored = FHabf::from_bytes(&bytes).expect("roundtrip");
-        for k in &pos {
-            assert!(restored.contains(k));
-        }
-        for (k, _) in &neg {
-            assert_eq!(original.contains(k), restored.contains(k));
-        }
-    }
-
-    #[test]
-    fn kind_confusion_is_rejected() {
-        let (pos, neg) = sample();
-        let habf = Habf::build(&pos, &neg, &HabfConfig::with_total_bits(2_000 * 8));
-        assert!(matches!(
-            FHabf::from_bytes(&habf.to_bytes()),
-            Err(PersistError::WrongKind)
-        ));
-        let fhabf = FHabf::build(&pos, &neg, &HabfConfig::with_total_bits(2_000 * 8));
-        assert!(matches!(
-            Habf::from_bytes(&fhabf.to_bytes()),
-            Err(PersistError::WrongKind)
-        ));
-    }
 
     #[test]
     fn v2_container_layout_is_aligned_and_roundtrips() {
@@ -1060,47 +790,19 @@ mod tests {
 
     #[test]
     fn v1_containers_still_decode() {
-        let mut image = Vec::new();
-        encode_container("bloom", b"opaque-payload", &mut image);
+        // magic | version 1 | id_len | id | payload_len | payload, with no
+        // alignment pad (nothing writes this envelope any more).
+        let mut image = b"HABC\x01\x05bloom".to_vec();
+        image.extend_from_slice(&14u64.to_le_bytes());
+        image.extend_from_slice(b"opaque-payload");
         let decoded = decode_container(&image).expect("v1 decodes");
-        assert_eq!(decoded.header.version, CONTAINER_VERSION_V1);
+        assert_eq!(decoded.header.id, "bloom");
+        assert_eq!(decoded.header.version, 1);
         assert_eq!(decoded.payload, b"opaque-payload");
         assert_eq!(
             frame_table(&image).expect("no error"),
             None,
             "v1 has no table"
         );
-    }
-
-    #[test]
-    fn corrupted_images_error_not_panic() {
-        let (pos, neg) = sample();
-        let habf = Habf::build(&pos, &neg, &HabfConfig::with_total_bits(2_000 * 8));
-        let bytes = habf.to_bytes();
-        // Bad magic.
-        let mut bad = bytes.clone();
-        bad[0] = b'X';
-        assert!(matches!(
-            Habf::from_bytes(&bad),
-            Err(PersistError::BadMagic)
-        ));
-        // Bad version.
-        let mut bad = bytes.clone();
-        bad[4] = 99;
-        assert!(matches!(
-            Habf::from_bytes(&bad),
-            Err(PersistError::BadVersion(99))
-        ));
-        // Truncations at every prefix must error, never panic.
-        for cut in [0usize, 3, 5, 8, 16, bytes.len() / 2, bytes.len() - 1] {
-            assert!(Habf::from_bytes(&bytes[..cut]).is_err(), "cut at {cut}");
-        }
-        // Trailing garbage.
-        let mut bad = bytes.clone();
-        bad.push(0);
-        assert!(matches!(
-            Habf::from_bytes(&bad),
-            Err(PersistError::Corrupt(_))
-        ));
     }
 }

@@ -6,13 +6,14 @@
 //! Adding a filter variant is one [`crate::DynFilter`] impl plus one line
 //! in [`entries`]; nothing downstream changes.
 //!
-//! Loading is format-sniffing: [`load`] reads the current `HABC`
-//! container (any registered id) *and* the legacy `HABF` / `HABS` images,
-//! which double as the HABF-family ids' container payloads — so every
-//! pre-container image remains loadable byte-for-byte through the same
-//! entry point.
+//! Loading is format-sniffing: [`load`] reads the current `HABC` v2
+//! container (any registered id) and hands the retired formats — v1
+//! containers and the legacy `HABF` / `HABS` images — to the frozen
+//! readers in `crate::compat`, so every image ever shipped remains
+//! loadable through the same entry point.
 
 use crate::blocked::BlockedHabf;
+use crate::compat;
 use crate::filter_api::{
     BatchQuery, BuildError, BuildInput, DynFilter, FilterParams, Growable, Rebuildable,
 };
@@ -32,18 +33,14 @@ use std::sync::Arc;
 /// boxed [`DynFilter`] out.
 pub type BuildFn = fn(&FilterParams, &BuildInput<'_>) -> Result<Box<dyn DynFilter>, BuildError>;
 
-/// Signature of a registry **v1** payload decoder (opaque payload bytes;
-/// always copies).
-pub type LoadFn = fn(&[u8]) -> Result<Box<dyn DynFilter>, PersistError>;
-
-/// Signature of a registry **v2** payload decoder: metadata bytes plus a
+/// Signature of a registry payload decoder: metadata bytes plus a
 /// [`FrameSource`] yielding the word frames — owned copies on the plain
 /// [`load`] path, zero-copy views on the [`load_shared`] / [`load_mmap`]
 /// path.
 pub type LoadV2Fn = fn(&[u8], &mut FrameSource<'_>) -> Result<Box<dyn DynFilter>, PersistError>;
 
 /// One registered filter: its stable id, a one-line summary, the build
-/// dispatch target, and the payload codecs.
+/// dispatch target, and the payload decoder.
 pub struct FilterEntry {
     /// Stable ASCII id — the container's self-description and the CLI's
     /// `--filter` argument.
@@ -54,9 +51,6 @@ pub struct FilterEntry {
     /// input passed [`BuildInput::validate_costs`] —
     /// [`crate::FilterSpec::build`] is the checked entry point.
     pub build: BuildFn,
-    /// Decodes a v1 container payload (or legacy image) written by
-    /// [`crate::DynFilter::write_payload`] under this id.
-    pub load_payload: LoadFn,
     /// Decodes a v2 container payload written by
     /// [`crate::DynFilter::write_payload_v2`] under this id.
     pub load_v2: LoadV2Fn,
@@ -71,77 +65,66 @@ pub fn entries() -> &'static [FilterEntry] {
             id: "habf",
             summary: "Hash Adaptive Bloom Filter (full TPJO, two-round query)",
             build: build_habf,
-            load_payload: load_habf,
             load_v2: load_habf_v2,
         },
         FilterEntry {
             id: "fhabf",
             summary: "fast HABF (double hashing, gamma off)",
             build: build_fhabf,
-            load_payload: load_fhabf,
             load_v2: load_fhabf_v2,
         },
         FilterEntry {
             id: "sharded-habf",
             summary: "HABF sharded by a splitter hash, built in parallel",
             build: build_sharded_habf,
-            load_payload: load_sharded_habf,
             load_v2: load_sharded_habf_v2,
         },
         FilterEntry {
             id: "sharded-fhabf",
             summary: "f-HABF sharded by a splitter hash, built in parallel",
             build: build_sharded_fhabf,
-            load_payload: load_sharded_fhabf,
             load_v2: load_sharded_fhabf_v2,
         },
         FilterEntry {
             id: "bloom",
             summary: "standard Bloom filter (seeded xxHash-128, k = ln2*b)",
             build: build_bloom,
-            load_payload: load_bloom,
             load_v2: load_bloom_v2,
         },
         FilterEntry {
             id: "weighted-bloom",
             summary: "Weighted Bloom filter with query-time cost cache",
             build: build_weighted_bloom,
-            load_payload: load_weighted_bloom,
             load_v2: load_weighted_bloom_v2,
         },
         FilterEntry {
             id: "xor",
             summary: "Xor filter (3-wise, peeled fingerprints)",
             build: build_xor,
-            load_payload: load_xor,
             load_v2: load_xor_v2,
         },
         FilterEntry {
             id: "blocked-bloom",
             summary: "cache-line-blocked Bloom filter (calibrated base hash)",
             build: build_blocked_bloom,
-            load_payload: load_blocked_bloom,
             load_v2: load_blocked_bloom_v2,
         },
         FilterEntry {
             id: "blocked-habf",
             summary: "HABF over a cache-line-blocked bit layer",
             build: build_blocked_habf,
-            load_payload: load_blocked_habf,
             load_v2: load_blocked_habf_v2,
         },
         FilterEntry {
             id: "binary-fuse",
             summary: "3-wise binary fuse filter (static, denser than xor)",
             build: build_binary_fuse,
-            load_payload: load_binary_fuse,
             load_v2: load_binary_fuse_v2,
         },
         FilterEntry {
             id: "scalable-habf",
             summary: "tiered HABF stack that grows past its design capacity",
             build: build_scalable_habf,
-            load_payload: load_scalable_habf,
             load_v2: load_scalable_habf_v2,
         },
     ]
@@ -227,10 +210,11 @@ impl From<PersistError> for OpenError {
     }
 }
 
-/// Loads any persisted filter image — the `HABC` container (v1 or v2) for
-/// every registered id, or a legacy `HABF` / `HABS` image through the
-/// adapters. This path always produces owned (copied) word storage; use
-/// [`load_shared`] / [`load_mmap`] to serve a v2 image in place.
+/// Loads any persisted filter image — the `HABC` v2 container for every
+/// registered id, or a retired v1 container / legacy `HABF` / `HABS`
+/// image through the frozen `compat` readers. This path always produces
+/// owned (copied) word storage; use [`load_shared`] / [`load_mmap`] to
+/// serve a v2 image in place.
 ///
 /// # Errors
 /// Returns a typed [`PersistError`] on any malformed input — bad magic,
@@ -250,7 +234,7 @@ pub fn load(buf: &[u8]) -> Result<LoadedFilter, PersistError> {
                 source.finish()?;
                 filter
             } else {
-                (e.load_payload)(decoded.payload)?
+                compat::load_v1(e.id, decoded.payload)?
             };
             Ok(LoadedFilter {
                 filter,
@@ -258,33 +242,7 @@ pub fn load(buf: &[u8]) -> Result<LoadedFilter, PersistError> {
                 version: decoded.header.version,
             })
         }
-        m if m == persist::MAGIC || m == persist::SHARDED_MAGIC => {
-            // Legacy images self-describe through their kind byte; the
-            // whole image doubles as the matching id's container payload.
-            let (version, kind) = match buf.get(4..6) {
-                Some(&[v, k]) => (v, k),
-                _ => return Err(PersistError::Truncated),
-            };
-            let sharded = m == persist::SHARDED_MAGIC;
-            let id = match (sharded, kind) {
-                (false, 0) => "habf",
-                (false, 1) => "fhabf",
-                (false, 2) => "blocked-habf",
-                (true, 0) => "sharded-habf",
-                (true, 1) => "sharded-fhabf",
-                _ => return Err(PersistError::Corrupt("unknown legacy kind byte")),
-            };
-            let e = entry(id).ok_or_else(|| PersistError::UnknownFilterId(id.to_string()))?;
-            Ok(LoadedFilter {
-                filter: (e.load_payload)(buf)?,
-                format: if sharded {
-                    ImageFormat::LegacySharded
-                } else {
-                    ImageFormat::LegacySingle
-                },
-                version,
-            })
-        }
+        m if compat::is_legacy_magic(m) => compat::load_legacy(buf),
         _ => Err(PersistError::BadMagic),
     }
 }
@@ -293,7 +251,7 @@ pub fn load(buf: &[u8]) -> Result<LoadedFilter, PersistError> {
 /// place**: the returned filter's bit arrays and cell tables are views
 /// into `image` (held alive by `Arc` clones), with zero payload-word
 /// copies. v1 containers and the legacy formats fall back to the copying
-/// adapters — byte-compatible, just not zero-copy.
+/// `compat` readers — byte-compatible, just not zero-copy.
 ///
 /// Mutating the returned filter (rebuild, insert) promotes the touched
 /// storage to owned words; the image itself is never written.
@@ -351,18 +309,13 @@ pub fn load_mmap(path: impl AsRef<std::path::Path>) -> Result<LoadedFilter, Open
 }
 
 // ---------------------------------------------------------------------
-// HABF family: DynFilter impls + build/load dispatch targets. The legacy
-// image formats are the v1 payload codecs; the v2 codecs split the same
-// fields into metadata + aligned word frames.
+// HABF family: DynFilter impls + build/load dispatch targets. The v2
+// codecs split each filter into metadata + aligned word frames.
 // ---------------------------------------------------------------------
 
 impl DynFilter for Habf {
     fn filter_id(&self) -> &'static str {
         "habf"
-    }
-
-    fn write_payload(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_bytes());
     }
 
     fn write_payload_v2<'a>(&'a self, out: &mut FrameWriter<'a>) {
@@ -403,10 +356,6 @@ impl DynFilter for FHabf {
         "fhabf"
     }
 
-    fn write_payload(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_bytes());
-    }
-
     fn write_payload_v2<'a>(&'a self, out: &mut FrameWriter<'a>) {
         let img = self.v2_image();
         persist::encode_v2_meta(&img, out.meta());
@@ -444,10 +393,6 @@ impl<F: ShardFilter + Clone + V2Shard> DynFilter for ShardedHabf<F> {
         } else {
             "sharded-fhabf"
         }
-    }
-
-    fn write_payload(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_bytes());
     }
 
     /// v2 metadata:
@@ -582,22 +527,6 @@ fn build_sharded_fhabf(
     )))
 }
 
-fn load_habf(buf: &[u8]) -> Result<Box<dyn DynFilter>, PersistError> {
-    Habf::from_bytes(buf).map(|f| Box::new(f) as Box<dyn DynFilter>)
-}
-
-fn load_fhabf(buf: &[u8]) -> Result<Box<dyn DynFilter>, PersistError> {
-    FHabf::from_bytes(buf).map(|f| Box::new(f) as Box<dyn DynFilter>)
-}
-
-fn load_sharded_habf(buf: &[u8]) -> Result<Box<dyn DynFilter>, PersistError> {
-    ShardedHabf::<Habf>::from_bytes(buf).map(|f| Box::new(f) as Box<dyn DynFilter>)
-}
-
-fn load_sharded_fhabf(buf: &[u8]) -> Result<Box<dyn DynFilter>, PersistError> {
-    ShardedHabf::<FHabf>::from_bytes(buf).map(|f| Box::new(f) as Box<dyn DynFilter>)
-}
-
 fn load_habf_v2(
     meta: &[u8],
     frames: &mut FrameSource<'_>,
@@ -674,10 +603,6 @@ impl DynFilter for ScalableHabf {
         "scalable-habf"
     }
 
-    fn write_payload(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_bytes());
-    }
-
     /// v2 metadata:
     /// ```text
     /// k u8 | cell_bits u8 | delta f64-bits u64 | seed u64
@@ -746,14 +671,6 @@ impl Growable for ScalableHabf {
     fn insert(&mut self, key: &[u8]) {
         ScalableHabf::insert(self, key);
     }
-
-    fn saturation(&self) -> f64 {
-        ScalableHabf::saturation(self)
-    }
-
-    fn generations(&self) -> usize {
-        ScalableHabf::generations(self)
-    }
 }
 
 impl Rebuildable for ScalableHabf {
@@ -780,10 +697,6 @@ fn build_scalable_habf(
     )))
 }
 
-fn load_scalable_habf(buf: &[u8]) -> Result<Box<dyn DynFilter>, PersistError> {
-    ScalableHabf::from_bytes(buf).map(|f| Box::new(f) as Box<dyn DynFilter>)
-}
-
 fn load_scalable_habf_v2(
     meta: &[u8],
     frames: &mut FrameSource<'_>,
@@ -801,13 +714,8 @@ fn load_scalable_habf_v2(
 }
 
 // ---------------------------------------------------------------------
-// Baseline filters: DynFilter impls + fresh payload codecs (the
-// baselines had no persistence before the container existed).
+// Baseline filters: DynFilter impls + payload codecs.
 // ---------------------------------------------------------------------
-
-const BLOOM_PAYLOAD_VERSION: u8 = 1;
-const WBF_PAYLOAD_VERSION: u8 = 1;
-const XOR_PAYLOAD_VERSION: u8 = 1;
 
 /// Bound on decoded per-key hash counts: far above any real
 /// configuration (`optimal_k` clamps at 30), low enough to reject
@@ -820,20 +728,11 @@ impl DynFilter for BloomFilter {
     }
 
     /// ```text
-    /// version u8 | strategy u8 (0 family, 1 city64, 2 xxh128, 3 double)
-    /// strategy fields (0: k u8 + ids | 1/2: k u16 | 3: k u16 + seed u64)
-    /// items u64 | m u64 | words…
+    /// meta:  strategy u8 (0 family, 1 city64, 2 xxh128, 3 double)
+    ///        strategy fields (0: k u8 + ids | 1/2: k u16 | 3: k u16 + seed u64)
+    ///        items u64 | m u64
+    /// frame: the bit array
     /// ```
-    fn write_payload(&self, out: &mut Vec<u8>) {
-        out.push(BLOOM_PAYLOAD_VERSION);
-        encode_bloom_meta(self, out);
-        for w in self.bits().words() {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-    }
-
-    /// v2: the same fields minus the payload version byte as metadata,
-    /// the bit array as one aligned word frame.
     fn write_payload_v2<'a>(&'a self, out: &mut FrameWriter<'a>) {
         encode_bloom_meta(self, out.meta());
         out.frame(self.bits().words());
@@ -862,8 +761,7 @@ fn build_bloom(p: &FilterParams, input: &BuildInput<'_>) -> Result<Box<dyn DynFi
     Ok(Box::new(BloomFilter::build(&input.members, total)))
 }
 
-/// The strategy + shape fields shared by the bloom v1 payload (after its
-/// version byte) and the bloom v2 metadata blob.
+/// The bloom v2 metadata blob: strategy and shape fields.
 fn encode_bloom_meta(f: &BloomFilter, out: &mut Vec<u8>) {
     match f.strategy() {
         BloomHashStrategy::FamilyDistinct { ids } => {
@@ -889,10 +787,10 @@ fn encode_bloom_meta(f: &BloomFilter, out: &mut Vec<u8>) {
     out.extend_from_slice(&(f.bits().len() as u64).to_le_bytes());
 }
 
-/// Decodes the shared bloom fields up to (and including) the bit-array
-/// length `m`; the caller supplies the words (inline for v1, a frame for
-/// v2).
-fn decode_bloom_meta(
+/// Decodes the bloom fields up to (and including) the bit-array length
+/// `m`; the caller supplies the words (a v2 frame, or inline in a v1
+/// payload).
+pub(crate) fn decode_bloom_meta(
     r: &mut Reader<'_>,
 ) -> Result<(BloomHashStrategy, usize, usize), PersistError> {
     let strategy = match r.u8()? {
@@ -925,18 +823,6 @@ fn decode_bloom_meta(
     Ok((strategy, items, m))
 }
 
-fn load_bloom(buf: &[u8]) -> Result<Box<dyn DynFilter>, PersistError> {
-    let mut r = Reader::new(buf);
-    let version = r.u8()?;
-    if version != BLOOM_PAYLOAD_VERSION {
-        return Err(PersistError::BadVersion(version));
-    }
-    let (strategy, items, m) = decode_bloom_meta(&mut r)?;
-    let bits = BitVec::from_words(r.words(m.div_ceil(64))?, m);
-    r.finish()?;
-    Ok(Box::new(BloomFilter::from_parts(bits, strategy, items)))
-}
-
 fn load_bloom_v2(
     meta: &[u8],
     frames: &mut FrameSource<'_>,
@@ -962,21 +848,13 @@ impl DynFilter for WeightedBloomFilter {
     }
 
     /// ```text
-    /// version u8 | k_default u16 | items u64
-    /// cache_len u64 | per entry: tag u64 + k u16
-    /// m u64 | words…
+    /// meta:  k_default u16 | items u64
+    ///        cache_len u64 | per entry: tag u64 + k u16
+    ///        m u64
+    /// frame: the bit array
     /// ```
-    fn write_payload(&self, out: &mut Vec<u8>) {
-        out.push(WBF_PAYLOAD_VERSION);
-        encode_wbf_meta(self, out);
-        for w in self.bits().words() {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-    }
-
-    /// v2: the same fields minus the version byte as metadata (the cost
-    /// cache is scalar data, so it stays in the meta blob), the bit array
-    /// as one aligned word frame.
+    ///
+    /// The cost cache is scalar data, so it stays in the meta blob.
     fn write_payload_v2<'a>(&'a self, out: &mut FrameWriter<'a>) {
         encode_wbf_meta(self, out.meta());
         out.frame(self.bits().words());
@@ -1018,8 +896,7 @@ fn build_weighted_bloom(
     )))
 }
 
-/// The WBF fields shared by the v1 payload (after its version byte) and
-/// the v2 metadata blob.
+/// The WBF v2 metadata blob.
 fn encode_wbf_meta(f: &WeightedBloomFilter, out: &mut Vec<u8>) {
     out.extend_from_slice(&(f.k_default() as u16).to_le_bytes());
     out.extend_from_slice(&(f.items() as u64).to_le_bytes());
@@ -1033,9 +910,9 @@ fn encode_wbf_meta(f: &WeightedBloomFilter, out: &mut Vec<u8>) {
 
 type WbfMeta = (usize, usize, Vec<(u64, u16)>, usize);
 
-/// Decodes the shared WBF fields up to (and including) the bit-array
-/// length `m`.
-fn decode_wbf_meta(r: &mut Reader<'_>) -> Result<WbfMeta, PersistError> {
+/// Decodes the WBF fields up to (and including) the bit-array length
+/// `m`.
+pub(crate) fn decode_wbf_meta(r: &mut Reader<'_>) -> Result<WbfMeta, PersistError> {
     let k_default = usize::from(r.u16()?);
     if k_default == 0 || k_default > MAX_DECODED_K {
         return Err(PersistError::Corrupt("hash count out of range"));
@@ -1063,20 +940,6 @@ fn decode_wbf_meta(r: &mut Reader<'_>) -> Result<WbfMeta, PersistError> {
     Ok((k_default, items, cache, m))
 }
 
-fn load_weighted_bloom(buf: &[u8]) -> Result<Box<dyn DynFilter>, PersistError> {
-    let mut r = Reader::new(buf);
-    let version = r.u8()?;
-    if version != WBF_PAYLOAD_VERSION {
-        return Err(PersistError::BadVersion(version));
-    }
-    let (k_default, items, cache, m) = decode_wbf_meta(&mut r)?;
-    let bits = BitVec::from_words(r.words(m.div_ceil(64))?, m);
-    r.finish()?;
-    Ok(Box::new(WeightedBloomFilter::from_parts(
-        bits, cache, k_default, items,
-    )))
-}
-
 fn load_weighted_bloom_v2(
     meta: &[u8],
     frames: &mut FrameSource<'_>,
@@ -1096,19 +959,9 @@ impl DynFilter for XorFilter {
     }
 
     /// ```text
-    /// version u8 | fp_bits u8 | seg_len u64 | seed u64 | items u64
-    /// fingerprint words…
+    /// meta:  fp_bits u8 | seg_len u64 | seed u64 | items u64
+    /// frame: the fingerprint table
     /// ```
-    fn write_payload(&self, out: &mut Vec<u8>) {
-        out.push(XOR_PAYLOAD_VERSION);
-        encode_xor_meta(self, out);
-        for w in self.fingerprints().words() {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-    }
-
-    /// v2: the same fields minus the version byte as metadata, the
-    /// fingerprint table as one aligned word frame.
     fn write_payload_v2<'a>(&'a self, out: &mut FrameWriter<'a>) {
         encode_xor_meta(self, out.meta());
         out.frame(self.fingerprints().words());
@@ -1144,8 +997,7 @@ fn build_xor(p: &FilterParams, input: &BuildInput<'_>) -> Result<Box<dyn DynFilt
     Ok(Box::new(XorFilter::build(&input.members, total)))
 }
 
-/// The xor-filter fields shared by the v1 payload (after its version
-/// byte) and the v2 metadata blob.
+/// The xor-filter v2 metadata blob.
 fn encode_xor_meta(f: &XorFilter, out: &mut Vec<u8>) {
     out.push(f.fp_bits() as u8);
     out.extend_from_slice(&(f.seg_len() as u64).to_le_bytes());
@@ -1155,9 +1007,9 @@ fn encode_xor_meta(f: &XorFilter, out: &mut Vec<u8>) {
 
 type XorMeta = (u32, usize, usize, u64, usize, usize);
 
-/// Decodes the shared xor-filter fields, returning
+/// Decodes the xor-filter fields, returning
 /// `(fp_bits, seg_len, slots, seed, items, word_count)`.
-fn decode_xor_meta(r: &mut Reader<'_>) -> Result<XorMeta, PersistError> {
+pub(crate) fn decode_xor_meta(r: &mut Reader<'_>) -> Result<XorMeta, PersistError> {
     let fp_bits = u32::from(r.u8()?);
     if !(1..=32).contains(&fp_bits) {
         return Err(PersistError::Corrupt("fingerprint width out of range"));
@@ -1174,20 +1026,6 @@ fn decode_xor_meta(r: &mut Reader<'_>) -> Result<XorMeta, PersistError> {
         .ok_or(PersistError::Truncated)?
         .div_ceil(64);
     Ok((fp_bits, seg_len, slots, seed, items, word_count))
-}
-
-fn load_xor(buf: &[u8]) -> Result<Box<dyn DynFilter>, PersistError> {
-    let mut r = Reader::new(buf);
-    let version = r.u8()?;
-    if version != XOR_PAYLOAD_VERSION {
-        return Err(PersistError::BadVersion(version));
-    }
-    let (fp_bits, seg_len, slots, seed, items, word_count) = decode_xor_meta(&mut r)?;
-    let cells = PackedCells::from_words(r.words(word_count)?, slots, fp_bits);
-    r.finish()?;
-    Ok(Box::new(XorFilter::from_parts(
-        cells, seg_len, seed, fp_bits, items,
-    )))
 }
 
 fn load_xor_v2(
@@ -1207,28 +1045,16 @@ fn load_xor_v2(
 // Probe-pipeline filters: blocked layouts and the binary-fuse baseline.
 // ---------------------------------------------------------------------
 
-const BLOCKED_BLOOM_PAYLOAD_VERSION: u8 = 1;
-const BINARY_FUSE_PAYLOAD_VERSION: u8 = 1;
-
 impl DynFilter for BlockedBloomFilter {
     fn filter_id(&self) -> &'static str {
         "blocked-bloom"
     }
 
     /// ```text
-    /// version u8 | k u16 | base u8 (hash registry index) | seed u64
-    /// items u64 | m u64 | words…
+    /// meta:  k u16 | base u8 (hash registry index) | seed u64
+    ///        items u64 | m u64
+    /// frame: the bit array
     /// ```
-    fn write_payload(&self, out: &mut Vec<u8>) {
-        out.push(BLOCKED_BLOOM_PAYLOAD_VERSION);
-        encode_blocked_bloom_meta(self, out);
-        for w in self.bits().words() {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-    }
-
-    /// v2: the same fields minus the version byte as metadata, the bit
-    /// array as one aligned word frame.
     fn write_payload_v2<'a>(&'a self, out: &mut FrameWriter<'a>) {
         encode_blocked_bloom_meta(self, out.meta());
         out.frame(self.bits().words());
@@ -1262,8 +1088,7 @@ fn build_blocked_bloom(
     Ok(Box::new(BlockedBloomFilter::build(&input.members, total)))
 }
 
-/// The blocked-Bloom fields shared by the v1 payload (after its version
-/// byte) and the v2 metadata blob.
+/// The blocked-Bloom v2 metadata blob.
 fn encode_blocked_bloom_meta(f: &BlockedBloomFilter, out: &mut Vec<u8>) {
     out.extend_from_slice(&(f.k() as u16).to_le_bytes());
     out.push(f.base().registry_index() as u8);
@@ -1274,9 +1099,11 @@ fn encode_blocked_bloom_meta(f: &BlockedBloomFilter, out: &mut Vec<u8>) {
 
 type BlockedBloomMeta = (usize, HashFunction, u64, usize, usize);
 
-/// Decodes the shared blocked-Bloom fields, returning
-/// `(k, base, seed, items, m)`; `m` is validated to span whole blocks.
-fn decode_blocked_bloom_meta(r: &mut Reader<'_>) -> Result<BlockedBloomMeta, PersistError> {
+/// Decodes the blocked-Bloom fields, returning `(k, base, seed, items,
+/// m)`; `m` is validated to span whole blocks.
+pub(crate) fn decode_blocked_bloom_meta(
+    r: &mut Reader<'_>,
+) -> Result<BlockedBloomMeta, PersistError> {
     let k = decode_k(r)?;
     let base = HashFunction::from_registry_index(usize::from(r.u8()?))
         .ok_or(PersistError::Corrupt("unknown base-hash index"))?;
@@ -1289,20 +1116,6 @@ fn decode_blocked_bloom_meta(r: &mut Reader<'_>) -> Result<BlockedBloomMeta, Per
         ));
     }
     Ok((k, base, seed, items, m))
-}
-
-fn load_blocked_bloom(buf: &[u8]) -> Result<Box<dyn DynFilter>, PersistError> {
-    let mut r = Reader::new(buf);
-    let version = r.u8()?;
-    if version != BLOCKED_BLOOM_PAYLOAD_VERSION {
-        return Err(PersistError::BadVersion(version));
-    }
-    let (k, base, seed, items, m) = decode_blocked_bloom_meta(&mut r)?;
-    let bits = BitVec::from_words(r.words(m.div_ceil(64))?, m);
-    r.finish()?;
-    Ok(Box::new(BlockedBloomFilter::from_parts(
-        bits, k, base, seed, items,
-    )))
 }
 
 fn load_blocked_bloom_v2(
@@ -1321,10 +1134,6 @@ fn load_blocked_bloom_v2(
 impl DynFilter for BlockedHabf {
     fn filter_id(&self) -> &'static str {
         "blocked-habf"
-    }
-
-    fn write_payload(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_bytes());
     }
 
     fn write_payload_v2<'a>(&'a self, out: &mut FrameWriter<'a>) {
@@ -1382,10 +1191,6 @@ fn build_blocked_habf(
     )))
 }
 
-fn load_blocked_habf(buf: &[u8]) -> Result<Box<dyn DynFilter>, PersistError> {
-    BlockedHabf::from_bytes(buf).map(|f| Box::new(f) as Box<dyn DynFilter>)
-}
-
 fn load_blocked_habf_v2(
     meta: &[u8],
     frames: &mut FrameSource<'_>,
@@ -1402,19 +1207,9 @@ impl DynFilter for BinaryFuseFilter {
     }
 
     /// ```text
-    /// version u8 | fp_bits u8 | seg_len u64 | seg_count u64 | seed u64
-    /// items u64 | fingerprint words…
+    /// meta:  fp_bits u8 | seg_len u64 | seg_count u64 | seed u64 | items u64
+    /// frame: the fingerprint table
     /// ```
-    fn write_payload(&self, out: &mut Vec<u8>) {
-        out.push(BINARY_FUSE_PAYLOAD_VERSION);
-        encode_binary_fuse_meta(self, out);
-        for w in self.fingerprints().words() {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-    }
-
-    /// v2: the same fields minus the version byte as metadata, the
-    /// fingerprint table as one aligned word frame.
     fn write_payload_v2<'a>(&'a self, out: &mut FrameWriter<'a>) {
         encode_binary_fuse_meta(self, out.meta());
         out.frame(self.fingerprints().words());
@@ -1458,8 +1253,7 @@ fn build_binary_fuse(
     Ok(Box::new(BinaryFuseFilter::build(&input.members, total)))
 }
 
-/// The binary-fuse fields shared by the v1 payload (after its version
-/// byte) and the v2 metadata blob.
+/// The binary-fuse v2 metadata blob.
 fn encode_binary_fuse_meta(f: &BinaryFuseFilter, out: &mut Vec<u8>) {
     out.push(f.fp_bits() as u8);
     out.extend_from_slice(&(f.seg_len() as u64).to_le_bytes());
@@ -1470,9 +1264,9 @@ fn encode_binary_fuse_meta(f: &BinaryFuseFilter, out: &mut Vec<u8>) {
 
 type BinaryFuseMeta = (u32, usize, usize, u64, usize, usize, usize);
 
-/// Decodes the shared binary-fuse fields, returning
+/// Decodes the binary-fuse fields, returning
 /// `(fp_bits, seg_len, seg_count, seed, items, slots, word_count)`.
-fn decode_binary_fuse_meta(r: &mut Reader<'_>) -> Result<BinaryFuseMeta, PersistError> {
+pub(crate) fn decode_binary_fuse_meta(r: &mut Reader<'_>) -> Result<BinaryFuseMeta, PersistError> {
     let fp_bits = u32::from(r.u8()?);
     if !(1..=32).contains(&fp_bits) {
         return Err(PersistError::Corrupt("fingerprint width out of range"));
@@ -1498,21 +1292,6 @@ fn decode_binary_fuse_meta(r: &mut Reader<'_>) -> Result<BinaryFuseMeta, Persist
         .ok_or(PersistError::Truncated)?
         .div_ceil(64);
     Ok((fp_bits, seg_len, seg_count, seed, items, slots, word_count))
-}
-
-fn load_binary_fuse(buf: &[u8]) -> Result<Box<dyn DynFilter>, PersistError> {
-    let mut r = Reader::new(buf);
-    let version = r.u8()?;
-    if version != BINARY_FUSE_PAYLOAD_VERSION {
-        return Err(PersistError::BadVersion(version));
-    }
-    let (fp_bits, seg_len, seg_count, seed, items, slots, word_count) =
-        decode_binary_fuse_meta(&mut r)?;
-    let cells = PackedCells::from_words(r.words(word_count)?, slots, fp_bits);
-    r.finish()?;
-    Ok(Box::new(BinaryFuseFilter::from_parts(
-        cells, seg_len, seg_count, seed, fp_bits, items,
-    )))
 }
 
 fn load_binary_fuse_v2(
@@ -1672,10 +1451,10 @@ mod tests {
         assert_eq!(fresh.filter.to_container_bytes(), image);
     }
 
-    /// `load_mmap` serves a v2 file with mmap backing; legacy and v1
-    /// images load through it too (copying).
+    /// `load_mmap` serves a v2 file with mmap backing; missing and
+    /// corrupt files are typed errors.
     #[test]
-    fn load_mmap_serves_files_of_every_format() {
+    fn load_mmap_serves_v2_files_and_rejects_bad_ones() {
         let (pos, neg) = sample();
         let input = BuildInput::from_members(&pos).with_costed_negatives(&neg);
         let dir = std::env::temp_dir().join(format!("habf-registry-mmap-{}", std::process::id()));
@@ -1701,14 +1480,6 @@ mod tests {
             assert!(loaded.filter.contains(k), "mmap view dropped a member");
         }
 
-        // Legacy image through the same entry point (copying adapter).
-        let legacy_path = dir.join("legacy.habf");
-        let legacy = crate::Habf::build(&pos, &neg, &crate::HabfConfig::with_total_bits(800 * 10));
-        std::fs::write(&legacy_path, legacy.to_bytes()).expect("write legacy");
-        let loaded = load_mmap(&legacy_path).expect("mmap legacy");
-        assert_eq!(loaded.format, ImageFormat::LegacySingle);
-        assert_eq!(loaded.filter.backing(), Backing::Owned);
-
         // Missing file and corrupt file are typed errors.
         assert!(matches!(
             load_mmap(dir.join("missing.habc")),
@@ -1724,28 +1495,9 @@ mod tests {
     }
 
     #[test]
-    fn legacy_images_load_through_the_adapters() {
-        let (pos, neg) = sample();
-        let cfg = crate::HabfConfig::with_total_bits(800 * 10);
-        let habf = Habf::build(&pos, &neg, &cfg);
-        let loaded = load(&habf.to_bytes()).expect("legacy habf");
-        assert_eq!(loaded.format, ImageFormat::LegacySingle);
-        assert_eq!(loaded.filter.filter_id(), "habf");
-        for k in &pos {
-            assert!(loaded.filter.contains(k));
-        }
-
-        let scfg = crate::ShardedConfig::new(2, cfg);
-        let sharded = ShardedHabf::<FHabf>::build_par(&pos, &neg, &scfg);
-        let loaded = load(&sharded.to_bytes()).expect("legacy sharded");
-        assert_eq!(loaded.format, ImageFormat::LegacySharded);
-        assert_eq!(loaded.filter.filter_id(), "sharded-fhabf");
-    }
-
-    #[test]
     fn unknown_container_id_is_a_typed_error() {
         let mut image = Vec::new();
-        persist::encode_container("no-such-filter", b"payload", &mut image);
+        persist::encode_container_v2("no-such-filter", &FrameWriter::new(), &mut image);
         assert_eq!(
             load(&image).err(),
             Some(PersistError::UnknownFilterId("no-such-filter".into()))

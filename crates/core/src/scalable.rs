@@ -250,59 +250,8 @@ impl ScalableHabf {
         }];
     }
 
-    /// Serializes the stack to its v1 payload (version byte, growth
-    /// parameters, then length-framed per-tier [`Habf::to_bytes`] blobs).
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let blobs: Vec<Vec<u8>> = self.tiers.iter().map(|t| t.filter.to_bytes()).collect();
-        let payload: usize = blobs.iter().map(|b| 24 + b.len()).sum();
-        let mut out = Vec::with_capacity(44 + payload);
-        out.push(1); // payload version
-        out.push(self.k as u8);
-        out.push(self.cell_bits as u8);
-        out.extend_from_slice(&self.delta.to_bits().to_le_bytes());
-        out.extend_from_slice(&self.seed.to_le_bytes());
-        out.extend_from_slice(&(self.base_capacity as u64).to_le_bytes());
-        out.extend_from_slice(&(self.base_total_bits as u64).to_le_bytes());
-        out.extend_from_slice(&(self.max_tiers as u32).to_le_bytes());
-        out.extend_from_slice(&(self.tiers.len() as u32).to_le_bytes());
-        for (tier, blob) in self.tiers.iter().zip(&blobs) {
-            out.extend_from_slice(&(tier.capacity as u64).to_le_bytes());
-            out.extend_from_slice(&(tier.inserted as u64).to_le_bytes());
-            out.extend_from_slice(&(blob.len() as u64).to_le_bytes());
-            out.extend_from_slice(blob);
-        }
-        out
-    }
-
-    /// Loads a stack persisted by [`ScalableHabf::to_bytes`].
-    ///
-    /// # Errors
-    /// Returns a typed [`PersistError`] on any malformed input; never
-    /// panics on untrusted bytes.
-    pub fn from_bytes(buf: &[u8]) -> Result<Self, PersistError> {
-        let mut r = Reader::new(buf);
-        let version = r.u8()?;
-        if version != 1 {
-            return Err(PersistError::BadVersion(version));
-        }
-        let (growth, tier_count) = decode_growth_params(&mut r)?;
-        let mut tiers = Vec::with_capacity(tier_count);
-        for _ in 0..tier_count {
-            let (capacity, inserted) = decode_tier_counters(&mut r)?;
-            let len = usize::try_from(r.u64()?).map_err(|_| PersistError::Truncated)?;
-            let filter = Habf::from_bytes(r.bytes(len)?)?;
-            tiers.push(Tier {
-                filter,
-                capacity,
-                inserted,
-            });
-        }
-        r.finish()?;
-        Ok(growth.assemble(tiers))
-    }
-
-    /// Rebuilds a stack from decoded parts (the v2 loader's hook).
+    /// Rebuilds a stack from decoded parts (the v2 codec's and the v1
+    /// reader's hook).
     pub(crate) fn from_parts(growth: GrowthParams, tiers: Vec<(Habf, usize, usize)>) -> Self {
         growth.assemble(
             tiers
@@ -334,8 +283,8 @@ impl Filter for ScalableHabf {
     }
 }
 
-/// The growth parameters shared by the v1 and v2 codecs (everything
-/// above the per-tier blocks).
+/// The growth parameters of the v2 codec (everything above the per-tier
+/// blocks; the v1 payload stores the same block after its version byte).
 pub(crate) struct GrowthParams {
     pub k: usize,
     pub cell_bits: u32,
@@ -384,8 +333,8 @@ impl GrowthParams {
     }
 }
 
-/// Decodes and validates the growth-parameter block (shared by the v1
-/// payload and the v2 metadata); returns the params and the tier count.
+/// Decodes and validates the growth-parameter block (shared by the v2
+/// metadata and the v1 payload); returns the params and the tier count.
 pub(crate) fn decode_growth_params(
     r: &mut Reader<'_>,
 ) -> Result<(GrowthParams, usize), PersistError> {
@@ -410,11 +359,11 @@ pub(crate) fn decode_growth_params(
     if base_total_bits == 0 {
         return Err(PersistError::Corrupt("zero base budget"));
     }
-    let max_tiers = u32::from_le_bytes(r.bytes(4)?.try_into().expect("4 bytes")) as usize;
+    let max_tiers = usize::try_from(r.u32()?).map_err(|_| PersistError::Truncated)?;
     if max_tiers == 0 || max_tiers > MAX_TIERS {
         return Err(PersistError::Corrupt("tier cap out of range"));
     }
-    let tier_count = u32::from_le_bytes(r.bytes(4)?.try_into().expect("4 bytes")) as usize;
+    let tier_count = usize::try_from(r.u32()?).map_err(|_| PersistError::Truncated)?;
     if tier_count == 0 || tier_count > MAX_TIERS {
         return Err(PersistError::Corrupt("tier count out of range"));
     }
@@ -432,7 +381,7 @@ pub(crate) fn decode_growth_params(
     ))
 }
 
-/// Decodes one tier's capacity/inserted counters (shared v1/v2 block).
+/// Decodes one tier's capacity/inserted counters (shared v2/v1 block).
 pub(crate) fn decode_tier_counters(r: &mut Reader<'_>) -> Result<(usize, usize), PersistError> {
     let capacity = usize::try_from(r.u64()?).map_err(|_| PersistError::Truncated)?;
     if capacity == 0 {
@@ -548,38 +497,45 @@ mod tests {
     }
 
     #[test]
-    fn v1_round_trip_preserves_the_stack() {
+    fn round_trip_preserves_the_stack() {
         let mut f = sample(80);
         for k in keys(80..700) {
             f.insert(&k);
         }
-        let bytes = f.to_bytes();
-        let loaded = ScalableHabf::from_bytes(&bytes).expect("load");
+        let bytes = crate::DynFilter::to_container_bytes(&f);
+        let loaded = crate::registry::load(&bytes).expect("load").filter;
         assert_eq!(loaded.generations(), f.generations());
-        assert_eq!(loaded.total_inserted(), f.total_inserted());
-        assert_eq!(loaded.max_tiers(), f.max_tiers());
+        assert_eq!(loaded.saturation(), f.saturation());
         for k in keys(0..700) {
             assert_eq!(loaded.contains(&k), f.contains(&k));
         }
-        assert_eq!(loaded.to_bytes(), bytes, "re-encode must be byte-stable");
+        assert_eq!(
+            loaded.to_container_bytes(),
+            bytes,
+            "re-encode must be byte-stable"
+        );
     }
 
     #[test]
     fn truncated_and_corrupt_images_are_typed_errors() {
         let f = sample(60);
-        let bytes = f.to_bytes();
-        for cut in 0..bytes.len().min(64) {
+        let bytes = crate::DynFilter::to_container_bytes(&f);
+        for cut in 0..bytes.len().min(96) {
             assert!(
-                ScalableHabf::from_bytes(&bytes[..cut]).is_err(),
+                crate::registry::load(&bytes[..cut]).is_err(),
                 "prefix {cut} must not load"
             );
         }
-        // Tier-count corruption: version(1) + k(1) + cell_bits(1) +
+        // Tier-count corruption: meta_len(8), then k(1) + cell_bits(1) +
         // delta(8) + seed(8) + base_capacity(8) + base_total_bits(8) +
-        // max_tiers(4) puts the tier count at offset 39.
+        // max_tiers(4) puts the tier count 46 bytes into the payload.
+        let at = crate::persist::decode_container(&bytes)
+            .expect("container")
+            .payload_offset
+            + 46;
         let mut evil = bytes.clone();
-        evil[39..43].copy_from_slice(&u32::MAX.to_le_bytes());
-        match ScalableHabf::from_bytes(&evil).err() {
+        evil[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        match crate::registry::load(&evil).err() {
             Some(PersistError::Corrupt(msg)) => assert_eq!(msg, "tier count out of range"),
             other => panic!("want Corrupt, got {other:?}"),
         }

@@ -26,7 +26,7 @@
 //!   actually holds one.
 //!
 //! ```
-//! use habf_core::{Habf, HabfConfig, ShardedConfig, ShardedHabf};
+//! use habf_core::{registry, DynFilter, Habf, HabfConfig, ShardedConfig, ShardedHabf};
 //! use habf_filters::Filter;
 //!
 //! let members: Vec<Vec<u8>> = (0..400).map(|i| format!("user:{i}").into_bytes()).collect();
@@ -43,12 +43,12 @@
 //! assert!(answers.iter().all(|&maybe| maybe));
 //!
 //! // Ships and loads like the unsharded filters.
-//! let restored = ShardedHabf::<Habf>::from_bytes(&filter.to_bytes()).unwrap();
+//! let restored = registry::load(&filter.to_container_bytes()).unwrap().filter;
 //! assert!(members.iter().all(|k| restored.contains(k)));
 //! ```
 
 use crate::habf::{ConfigError, FHabf, Habf, HabfConfig};
-use crate::persist::{self, PersistError};
+use crate::persist;
 use habf_filters::Filter;
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -68,8 +68,8 @@ pub const MAX_SHARDS: usize = persist::MAX_SHARDS;
 const SHARD_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// A filter type that can serve as one shard of a [`ShardedHabf`]:
-/// buildable from a key partition, persistable, and queryable from many
-/// threads at once.
+/// buildable from a key partition and queryable from many threads at
+/// once.
 pub trait ShardFilter: Filter + Sized + Send + Sync {
     /// Persist-format kind byte (`0` = HABF, `1` = f-HABF), shared with
     /// the unsharded image format.
@@ -81,15 +81,6 @@ pub trait ShardFilter: Filter + Sized + Send + Sync {
     /// Re-runs the construction over fresh partition sets at this shard's
     /// exact geometry (see [`Habf::rebuild`]).
     fn rebuild_shard(&mut self, positives: &[&[u8]], negatives: &[(&[u8], f64)], seed: u64);
-
-    /// Serializes the shard to the unsharded single-filter image.
-    fn shard_to_bytes(&self) -> Vec<u8>;
-
-    /// Loads a shard persisted by [`ShardFilter::shard_to_bytes`].
-    ///
-    /// # Errors
-    /// Returns a [`PersistError`] on malformed input.
-    fn shard_from_bytes(buf: &[u8]) -> Result<Self, PersistError>;
 
     /// Where this shard's payload words live (owned heap vs a shared or
     /// mmap'ed image view).
@@ -122,14 +113,6 @@ impl ShardFilter for Habf {
         self.rebuild(positives, negatives, seed);
     }
 
-    fn shard_to_bytes(&self) -> Vec<u8> {
-        self.to_bytes()
-    }
-
-    fn shard_from_bytes(buf: &[u8]) -> Result<Self, PersistError> {
-        Habf::from_bytes(buf)
-    }
-
     fn shard_backing(&self) -> habf_util::Backing {
         self.backing()
     }
@@ -152,14 +135,6 @@ impl ShardFilter for FHabf {
 
     fn rebuild_shard(&mut self, positives: &[&[u8]], negatives: &[(&[u8], f64)], seed: u64) {
         self.rebuild(positives, negatives, seed);
-    }
-
-    fn shard_to_bytes(&self) -> Vec<u8> {
-        self.to_bytes()
-    }
-
-    fn shard_from_bytes(buf: &[u8]) -> Result<Self, PersistError> {
-        FHabf::from_bytes(buf)
     }
 
     fn shard_backing(&self) -> habf_util::Backing {
@@ -533,20 +508,6 @@ impl<F: ShardFilter> ShardedHabf<F> {
         self.built_keys
     }
 
-    /// Serializes the filter: a container header (shard count, splitter
-    /// seed, insert counters) framing each shard's unsharded image.
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let blobs: Vec<Vec<u8>> = self.shards.iter().map(|s| s.shard_to_bytes()).collect();
-        persist::encode_sharded(
-            F::KIND,
-            self.splitter_seed,
-            self.built_keys as u64,
-            self.inserted_since_build as u64,
-            &blobs,
-        )
-    }
-
     /// Where the shards' payload words live: `owned` unless every shard
     /// still serves from an image view; the most view-like shard wins, so
     /// the filter reports `mmap`/`shared` until all shards were promoted.
@@ -558,8 +519,9 @@ impl<F: ShardFilter> ShardedHabf<F> {
             .fold(habf_util::Backing::Owned, habf_util::Backing::combine)
     }
 
-    /// Reassembles a sharded filter from decoded shard parts — the v2
-    /// container's zero-copy load path.
+    /// Reassembles a sharded filter from decoded shard parts (the v2
+    /// codec, which may hand over zero-copy views, and the legacy `HABS`
+    /// reader).
     pub(crate) fn from_shard_parts(
         shards: Vec<Arc<F>>,
         splitter_seed: u64,
@@ -576,27 +538,6 @@ impl<F: ShardFilter> ShardedHabf<F> {
             built_keys,
             inserted_since_build,
         }
-    }
-
-    /// Loads a filter persisted by [`ShardedHabf::to_bytes`].
-    ///
-    /// # Errors
-    /// Returns a [`PersistError`] on any malformed input; never panics on
-    /// untrusted bytes.
-    pub fn from_bytes(buf: &[u8]) -> Result<Self, PersistError> {
-        let d = persist::decode_sharded(buf, F::KIND)?;
-        let shards = d
-            .blobs
-            .iter()
-            .map(|blob| F::shard_from_bytes(blob).map(Arc::new))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self {
-            shards,
-            splitter_seed: d.splitter_seed,
-            built_keys: usize::try_from(d.built_keys).map_err(|_| PersistError::Truncated)?,
-            inserted_since_build: usize::try_from(d.inserted)
-                .map_err(|_| PersistError::Truncated)?,
-        })
     }
 }
 
@@ -769,6 +710,8 @@ fn shard_of(key: &[u8], splitter_seed: u64, shards: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::persist::PersistError;
+    use crate::{registry, BuildInput, DynFilter};
 
     type Workload = (Vec<Vec<u8>>, Vec<(Vec<u8>, f64)>);
 
@@ -819,8 +762,8 @@ mod tests {
         let sharded = ShardedHabf::<Habf>::build_par(&pos, &neg, &cfg);
         let plain = Habf::build(&pos, &neg, &cfg.base);
         assert_eq!(
-            sharded.shard(0).shard_to_bytes(),
-            plain.to_bytes(),
+            sharded.shard(0).to_container_bytes(),
+            plain.to_container_bytes(),
             "1-shard build must be byte-identical to the unsharded filter"
         );
     }
@@ -833,7 +776,7 @@ mod tests {
         let serial = ShardedHabf::<Habf>::build_par(&pos, &neg, &cfg);
         cfg.threads = 4;
         let parallel = ShardedHabf::<Habf>::build_par(&pos, &neg, &cfg);
-        assert_eq!(serial.to_bytes(), parallel.to_bytes());
+        assert_eq!(serial.to_container_bytes(), parallel.to_container_bytes());
     }
 
     #[test]
@@ -874,46 +817,44 @@ mod tests {
     fn persistence_roundtrip_preserves_answers_and_bytes() {
         let (pos, neg) = workload(2_000);
         let f = ShardedHabf::<Habf>::build_par(&pos, &neg, &config(4, 2_000 * 10));
-        let bytes = f.to_bytes();
-        let restored = ShardedHabf::<Habf>::from_bytes(&bytes).expect("roundtrip");
-        assert_eq!(restored.shard_count(), 4);
-        assert_eq!(restored.splitter_seed(), f.splitter_seed());
+        let bytes = f.to_container_bytes();
+        let restored = registry::load(&bytes).expect("roundtrip").filter;
+        assert_eq!(restored.filter_id(), "sharded-habf");
         for k in &pos {
             assert!(restored.contains(k));
         }
-        assert_eq!(restored.to_bytes(), bytes, "re-encode must be stable");
+        // Shard count, splitter seed and counters are in the image, so a
+        // byte-identical re-encode means they survived.
+        assert_eq!(
+            restored.to_container_bytes(),
+            bytes,
+            "re-encode must be stable"
+        );
     }
 
     #[test]
     fn corrupt_sharded_images_error_not_panic() {
         let (pos, neg) = workload(500);
         let f = ShardedHabf::<Habf>::build_par(&pos, &neg, &config(2, 500 * 10));
-        let bytes = f.to_bytes();
-        assert!(matches!(
-            ShardedHabf::<FHabf>::from_bytes(&bytes),
-            Err(PersistError::WrongKind)
-        ));
+        let bytes = f.to_container_bytes();
         let mut bad = bytes.clone();
         bad[0] = b'X';
-        assert!(matches!(
-            ShardedHabf::<Habf>::from_bytes(&bad),
-            Err(PersistError::BadMagic)
-        ));
+        assert_eq!(registry::load(&bad).err(), Some(PersistError::BadMagic));
         for cut in [0usize, 5, 9, 33, bytes.len() / 2, bytes.len() - 1] {
-            assert!(
-                ShardedHabf::<Habf>::from_bytes(&bytes[..cut]).is_err(),
-                "cut at {cut}"
-            );
+            assert!(registry::load(&bytes[..cut]).is_err(), "cut at {cut}");
         }
         let mut bad = bytes.clone();
         bad.push(0);
-        assert!(ShardedHabf::<Habf>::from_bytes(&bad).is_err());
-        // An unsharded image is not a container.
-        let plain = Habf::build(&pos, &neg, &HabfConfig::with_total_bits(500 * 10));
-        assert!(matches!(
-            ShardedHabf::<Habf>::from_bytes(&plain.to_bytes()),
-            Err(PersistError::BadMagic)
-        ));
+        assert!(registry::load(&bad).is_err());
+        // The sharded meta block opens with its kind byte: an f-HABF kind
+        // under the HABF id is a kind mismatch, not a misparse.
+        let meta = persist::decode_container(&bytes)
+            .expect("container")
+            .payload_offset
+            + 8;
+        let mut bad = bytes.clone();
+        bad[meta] = FHabf::KIND;
+        assert_eq!(registry::load(&bad).err(), Some(PersistError::WrongKind));
     }
 
     #[test]
@@ -922,7 +863,7 @@ mod tests {
         let mut f = ShardedHabf::<Habf>::build_par(&pos, &neg, &config(4, 2_000 * 10));
         // A reader holds one shard: inserts must not disturb its snapshot.
         let reader_view = f.shard_handle(0);
-        let reader_bytes = reader_view.shard_to_bytes();
+        let reader_bytes = reader_view.to_container_bytes();
 
         let late = keys(200, "late");
         let outcome = f.insert_batch(&late);
@@ -932,7 +873,7 @@ mod tests {
             assert!(f.contains(k), "post-insert member dropped");
         }
         assert_eq!(
-            reader_view.shard_to_bytes(),
+            reader_view.to_container_bytes(),
             reader_bytes,
             "copy-on-write must leave the reader's snapshot untouched"
         );
@@ -956,7 +897,7 @@ mod tests {
 
         // A reader holds shard 0 across the rebuild.
         let reader_view = f.shard_handle(0);
-        let reader_bytes = reader_view.shard_to_bytes();
+        let reader_bytes = reader_view.to_container_bytes();
 
         // Adapt: the observed costly misses become the new negative set.
         let mined: Vec<(Vec<u8>, f64)> =
@@ -970,14 +911,14 @@ mod tests {
         let pruned = mined.iter().filter(|(k, _)| !f.contains(k)).count();
         assert!(pruned > 400, "only {pruned}/500 mined misses pruned");
         assert_eq!(
-            reader_view.shard_to_bytes(),
+            reader_view.to_container_bytes(),
             reader_bytes,
             "copy-on-write rebuild must leave the reader's snapshot intact"
         );
         // The rebuilt filter is byte-identical to a from-scratch build
         // over the same sets — rebuild is a real TPJO rerun, not a patch.
         let scratch = ShardedHabf::<Habf>::build_par(&pos, &mined, &cfg);
-        assert_eq!(f.to_bytes(), scratch.to_bytes());
+        assert_eq!(f.to_container_bytes(), scratch.to_container_bytes());
     }
 
     /// Regression: rebuilding a *loaded* filter at a budget re-derived
@@ -996,11 +937,20 @@ mod tests {
 
         // Load from bytes (the CLI situation: no build config survives),
         // then rebuild against the mined FPs only.
-        let mut loaded = ShardedHabf::<Habf>::from_bytes(&f.to_bytes()).expect("roundtrip");
+        let mut loaded = registry::load(&f.to_container_bytes())
+            .expect("roundtrip")
+            .filter;
         let mined: Vec<(Vec<u8>, f64)> = observed_fps.iter().map(|k| (k.clone(), 1.0)).collect();
         // Same base seed as the build: H0 selection stays put, so only
         // keys TPJO must adjust change their answers.
-        loaded.rebuild_in_place(&pos, &mined, build_cfg.base.seed);
+        loaded
+            .as_rebuildable()
+            .expect("sharded rebuilds in place")
+            .rebuild(
+                &BuildInput::from_members(&pos).with_costed_negatives(&mined),
+                build_cfg.base.seed,
+            )
+            .expect("rebuild");
 
         assert_eq!(loaded.space_bits(), f.space_bits(), "geometry drifted");
         for k in &pos {

@@ -4,8 +4,7 @@
 //! same per-shard partitions, and — at shard count 1 — produce a shard
 //! byte-identical to the plain unsharded build.
 
-use habf_core::sharded::ShardFilter;
-use habf_core::{Habf, HabfConfig, ShardedConfig, ShardedHabf};
+use habf_core::{registry, DynFilter, Habf, HabfConfig, ShardedConfig, ShardedHabf};
 use habf_filters::Filter;
 use proptest::prelude::*;
 
@@ -90,8 +89,8 @@ proptest! {
             .collect();
         for (i, rebuilt) in manual.iter().enumerate() {
             prop_assert_eq!(
-                sharded.shard(i).shard_to_bytes(),
-                rebuilt.to_bytes(),
+                sharded.shard(i).to_container_bytes(),
+                rebuilt.to_container_bytes(),
                 "shard {} bytes differ from its per-partition rebuild",
                 i
             );
@@ -123,7 +122,10 @@ proptest! {
         let cfg = sharded_config(1, total_bits, u64::from(seed));
         let sharded = ShardedHabf::<Habf>::build_par(&keys, &negatives, &cfg);
         let plain = Habf::build(&keys, &negatives, &cfg.base);
-        prop_assert_eq!(sharded.shard(0).shard_to_bytes(), plain.to_bytes());
+        prop_assert_eq!(
+            sharded.shard(0).to_container_bytes(),
+            plain.to_container_bytes()
+        );
     }
 
     /// Persistence round-trips: bytes → filter → bytes is the identity,
@@ -138,9 +140,9 @@ proptest! {
         let negatives = negatives_for(keys.len(), seed);
         let cfg = sharded_config(shards, (keys.len() * 10).max(256), u64::from(seed));
         let f = ShardedHabf::<Habf>::build_par(&keys, &negatives, &cfg);
-        let bytes = f.to_bytes();
-        let restored = ShardedHabf::<Habf>::from_bytes(&bytes).expect("roundtrip");
-        prop_assert_eq!(restored.to_bytes(), bytes);
+        let bytes = f.to_container_bytes();
+        let restored = registry::load(&bytes).expect("roundtrip").filter;
+        prop_assert_eq!(restored.to_container_bytes(), bytes);
         for key in &keys {
             prop_assert!(restored.contains(key));
         }

@@ -5,9 +5,12 @@
 //! ## Architecture
 //!
 //! One blocking accept thread owns the listener, enforces the global
-//! connection cap, and shards each accepted connection to a worker by
-//! fd (`fd % workers`) over an mpsc channel, waking the worker through
-//! a nonblocking socketpair byte. Each worker owns its poller, its
+//! connection cap, and hands accepted connections to the workers
+//! round-robin over mpsc channels, waking the worker through a
+//! nonblocking socketpair byte. (Assigning by `fd % workers` would
+//! crowd one worker whenever fds share parity — as they do when
+//! clients run in the server's own process — and refuse connections
+//! far below the global cap.) Each worker owns its poller, its
 //! connections, and its buffers outright — no cross-worker locks, no
 //! shared connection state. Per wakeup a worker:
 //!
@@ -119,6 +122,7 @@ pub(crate) fn run(
         return;
     }
 
+    let mut accepted = 0usize;
     for conn in listener.incoming() {
         if stop.load(Ordering::Acquire) {
             break;
@@ -130,7 +134,8 @@ pub(crate) fn run(
         }
         active.fetch_add(1, Ordering::AcqRel);
         let _ = stream.set_nodelay(true);
-        let shard = usize::try_from(stream.as_raw_fd()).unwrap_or(0) % senders.len();
+        let shard = accepted % senders.len();
+        accepted = accepted.wrapping_add(1);
         match senders.get(shard) {
             Some(tx) if tx.send(stream).is_ok() => {
                 if let Some(waker) = wakers.get(shard) {

@@ -264,6 +264,36 @@ fn connection_limit_answers_busy_with_a_retry_hint_instead_of_queueing() {
     handle.shutdown();
 }
 
+/// Regression: the reactor assigned connections to workers by
+/// `fd % workers`. Client and server sockets in one process alternate fd
+/// parity, so almost every connection landed on one worker, which
+/// refused the 6th of 8 allowed connections. Round-robin assignment
+/// admits every connection up to the global limit.
+#[test]
+fn reactor_admits_sequential_connections_up_to_the_limit() {
+    let config = ServerConfig {
+        max_connections: 8,
+        workers: 2,
+        ..ServerConfig::default()
+    };
+    let handle = start(config, vec![tenant("t1", 100)]);
+    let mut clients = Vec::new();
+    for i in 0..8 {
+        let mut client = connect(&handle);
+        client
+            .ping(format!("conn:{i}").as_bytes())
+            .unwrap_or_else(|e| panic!("connection {i} of 8 refused: {e:?}"));
+        clients.push(client);
+    }
+    // The ninth is over the global limit.
+    let mut ninth = connect(&handle);
+    assert!(
+        matches!(ninth.recv_answers(), Err(WireError::Busy { .. })),
+        "a ninth connection must be refused"
+    );
+    handle.shutdown();
+}
+
 #[test]
 fn threads_model_serves_the_same_flows() {
     // The thread-per-connection model stays available for A/B runs;

@@ -21,11 +21,12 @@
 //! **memory-mapped** — a current aligned `HABC` v2 container is served
 //! zero-copy straight from the page cache (`inspect` reports
 //! `backing: mmap` plus the frame table); v1 containers and legacy
-//! `HABF`/`HABS` images load through the copying adapters — and work
-//! against the object-safe [`DynFilter`] surface, so a newly registered
-//! filter is immediately buildable, queryable, and inspectable here with
-//! no CLI changes. `migrate` rewrites any loadable image as a v2
-//! container.
+//! `HABF`/`HABS` images load through the frozen copying readers — and
+//! work against the object-safe [`DynFilter`] surface, so a newly
+//! registered filter is immediately buildable, queryable, and inspectable
+//! here with no CLI changes. Every command that writes an image writes a
+//! v2 container: `migrate` rewrites any loadable image as one, and
+//! `adapt` / `insert` upgrade a v1 or legacy input when they write back.
 //!
 //! The legacy flags remain as defaults: `--fast` selects `fhabf` and
 //! `--shards N` (N > 1) the sharded variant when `--filter` is not given
@@ -330,21 +331,8 @@ fn cmd_adapt(args: &[String]) -> ExitCode {
         println!("below threshold {threshold}: no adaptation needed");
         return ExitCode::SUCCESS;
     }
-    // Preserve the input's on-disk format: a legacy image stays a legacy
-    // image (its payload IS the legacy encoding) and a v1 container stays
-    // v1, so older readers keep loading the adapted output; only current
-    // (v2) containers re-wrap through the current writer.
-    let image = match (loaded.format, loaded.version) {
-        (habf::core::ImageFormat::Container, habf::core::persist::CONTAINER_VERSION_V1) => {
-            loaded.filter.to_container_bytes_v1()
-        }
-        (habf::core::ImageFormat::Container, _) => loaded.filter.to_container_bytes(),
-        _ => {
-            let mut payload = Vec::new();
-            loaded.filter.write_payload(&mut payload);
-            payload
-        }
-    };
+    // Every write is a v2 container: a v1 or legacy input is upgraded.
+    let image = loaded.filter.to_container_bytes();
     if let Err(e) = std::fs::write(&out, &image) {
         eprintln!("habf: cannot write {out}: {e}");
         return ExitCode::FAILURE;
@@ -355,7 +343,7 @@ fn cmd_adapt(args: &[String]) -> ExitCode {
 }
 
 /// Inserts keys into a growable filter image and writes the grown image
-/// back, format-preserving (like `adapt`). Filters without the grow
+/// back as a v2 container (like `adapt`). Filters without the grow
 /// capability — everything but the tiered stacks — are refused with a
 /// clear message instead of silently breaking their zero-FN contract.
 fn cmd_insert(args: &[String]) -> ExitCode {
@@ -394,18 +382,7 @@ fn cmd_insert(args: &[String]) -> ExitCode {
     for key in &keys {
         growable.insert(key);
     }
-    // Preserve the input's on-disk format, as `adapt` does.
-    let image = match (loaded.format, loaded.version) {
-        (habf::core::ImageFormat::Container, habf::core::persist::CONTAINER_VERSION_V1) => {
-            loaded.filter.to_container_bytes_v1()
-        }
-        (habf::core::ImageFormat::Container, _) => loaded.filter.to_container_bytes(),
-        _ => {
-            let mut payload = Vec::new();
-            loaded.filter.write_payload(&mut payload);
-            payload
-        }
-    };
+    let image = loaded.filter.to_container_bytes();
     if let Err(e) = std::fs::write(&out, &image) {
         eprintln!("habf: cannot write {out}: {e}");
         return ExitCode::FAILURE;

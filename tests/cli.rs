@@ -744,76 +744,37 @@ fn migrate_upgrades_legacy_and_v1_images_to_v2() {
     }
 }
 
-/// `adapt` must preserve the input's on-disk format: a legacy image in,
-/// a legacy image out — older readers keep loading the adapted output.
-#[test]
-fn adapt_preserves_the_legacy_image_format() {
-    let dir = TempDir::new("adapt-legacy");
-    // The checked-in legacy fixture (pre-container format) and its
-    // golden workload (see tests/golden_persist.rs).
-    let fixture =
-        std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/habf_v1.bin");
-    let filter = dir.0.join("legacy.bin");
-    std::fs::copy(&fixture, &filter).expect("copy fixture");
-    let pos = write_file(
-        &dir.0,
-        "pos.txt",
-        &(0..64)
-            .map(|i| format!("golden:pos:{i}"))
-            .collect::<Vec<_>>(),
-    );
-    let queries = write_file(
-        &dir.0,
-        "queries.txt",
-        &(0..64)
-            .map(|i| format!("golden:neg:{i}"))
-            .collect::<Vec<_>>(),
-    );
-    let adapted = dir.0.join("adapted.bin");
-    let adapt = Command::new(bin())
-        .arg("adapt")
-        .arg(&filter)
-        .arg("--positives")
-        .arg(&pos)
-        .arg("--queries")
-        .arg(&queries)
-        .args(["--threshold", "0.5"])
-        .arg("--out")
-        .arg(&adapted)
+/// Runs `habf inspect` on `path` and returns its stdout.
+fn inspect(path: &std::path::Path) -> String {
+    let out = Command::new(bin())
+        .arg("inspect")
+        .arg(path)
         .output()
-        .expect("adapt legacy");
+        .expect("inspect");
     assert!(
-        adapt.status.success(),
+        out.status.success(),
         "{}",
-        String::from_utf8_lossy(&adapt.stderr)
+        String::from_utf8_lossy(&out.stderr)
     );
-    if adapted.exists() {
-        let bytes = std::fs::read(&adapted).expect("adapted image");
-        assert_eq!(&bytes[..4], b"HABF", "legacy input must stay legacy");
-        let inspect = Command::new(bin())
-            .arg("inspect")
-            .arg(&adapted)
-            .output()
-            .expect("inspect adapted");
-        let text = String::from_utf8_lossy(&inspect.stdout);
-        assert!(text.contains("legacy HABF image"), "{text}");
-    } else {
-        // Below threshold (no FPs in the replay): nothing was written,
-        // which also cannot have migrated the format.
-        let text = String::from_utf8_lossy(&adapt.stdout);
-        assert!(text.contains("no adaptation needed"), "{text}");
-    }
+    String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
-/// `adapt` on a **v1 container** writes a v1 container back (pre-v2
-/// readers keep loading it); only v2 inputs re-wrap as v2.
-#[test]
-fn adapt_preserves_the_v1_container_version() {
-    let dir = TempDir::new("adapt-v1");
-    let fixture = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden/container_habf_v1.bin");
-    let filter = dir.0.join("v1.bin");
-    std::fs::copy(&fixture, &filter).expect("copy fixture");
+/// Runs `habf adapt` on a copy of the named golden fixture with a query
+/// log that false-positives, and checks the adapted image is a v2
+/// container that still holds every golden member.
+fn adapt_upgrades_fixture_to_v2(tag: &str, fixture: &str) {
+    let dir = TempDir::new(tag);
+    let filter = dir.0.join("old.bin");
+    std::fs::copy(
+        std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/golden")
+            .join(fixture),
+        &filter,
+    )
+    .expect("copy fixture");
+    // The golden workload's members (see tests/golden_persist.rs), and a
+    // query log of fresh keys: at 12 bits/key some of 4000 pass the
+    // filter, so the replay crosses the threshold and rebuilds.
     let pos = write_file(
         &dir.0,
         "pos.txt",
@@ -824,9 +785,7 @@ fn adapt_preserves_the_v1_container_version() {
     let queries = write_file(
         &dir.0,
         "queries.txt",
-        &(0..64)
-            .map(|i| format!("golden:neg:{i}"))
-            .collect::<Vec<_>>(),
+        &(0..4000).map(|i| format!("probe:{i}")).collect::<Vec<_>>(),
     );
     let adapted = dir.0.join("adapted.bin");
     let adapt = Command::new(bin())
@@ -840,27 +799,83 @@ fn adapt_preserves_the_v1_container_version() {
         .arg("--out")
         .arg(&adapted)
         .output()
-        .expect("adapt v1 container");
+        .expect("adapt");
+    let stdout = String::from_utf8_lossy(&adapt.stdout);
     assert!(
         adapt.status.success(),
-        "{}",
+        "{fixture}: {}",
         String::from_utf8_lossy(&adapt.stderr)
     );
-    if adapted.exists() {
-        let bytes = std::fs::read(&adapted).expect("adapted image");
-        assert_eq!(&bytes[..4], b"HABC", "container input stays a container");
-        assert_eq!(bytes[4], 1, "v1 container input must stay v1");
-        let inspect = Command::new(bin())
-            .arg("inspect")
-            .arg(&adapted)
-            .output()
-            .expect("inspect adapted");
-        let text = String::from_utf8_lossy(&inspect.stdout);
-        assert!(text.contains("HABC container (v1)"), "{text}");
-    } else {
-        let text = String::from_utf8_lossy(&adapt.stdout);
-        assert!(text.contains("no adaptation needed"), "{text}");
-    }
+    assert!(stdout.contains("rebuilt with mined hints"), "{stdout}");
+    assert!(adapted.exists(), "{fixture}: adapted image not written");
+    let bytes = std::fs::read(&adapted).expect("adapted image");
+    assert_eq!(&bytes[..5], b"HABC\x02", "{fixture}: output must be v2");
+    let text = inspect(&adapted);
+    assert!(text.contains("HABC container (v2)"), "{fixture}: {text}");
+    let query = Command::new(bin())
+        .arg("query")
+        .arg(&adapted)
+        .args(["golden:pos:0", "golden:pos:63"])
+        .output()
+        .expect("query adapted");
+    assert!(query.status.success(), "{fixture}: member lost in adapt");
+}
+
+/// `adapt` on a legacy `HABF` image writes a v2 container: every write
+/// uses the one current format.
+#[test]
+fn adapt_upgrades_a_legacy_image_to_v2() {
+    adapt_upgrades_fixture_to_v2("adapt-legacy", "habf_v1.bin");
+}
+
+/// `adapt` on a v1 container writes a v2 container.
+#[test]
+fn adapt_upgrades_a_v1_container_to_v2() {
+    adapt_upgrades_fixture_to_v2("adapt-v1", "container_habf_v1.bin");
+}
+
+/// `insert` into a v1 `scalable-habf` container writes the grown stack
+/// back as a v2 container that holds the old and the new keys.
+#[test]
+fn insert_upgrades_a_v1_container_to_v2() {
+    let dir = TempDir::new("insert-v1");
+    let filter = dir.0.join("stack.bin");
+    std::fs::copy(
+        std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/golden/container_scalable-habf_v1.bin"),
+        &filter,
+    )
+    .expect("copy fixture");
+    let grown = dir.0.join("grown.bin");
+    let keys: Vec<String> = (0..200).map(|i| format!("fresh:{i}")).collect();
+    let keys_file = write_file(&dir.0, "keys.txt", &keys);
+    let insert = Command::new(bin())
+        .arg("insert")
+        .arg(&filter)
+        .arg("--keys")
+        .arg(&keys_file)
+        .arg("--out")
+        .arg(&grown)
+        .output()
+        .expect("insert");
+    assert!(
+        insert.status.success(),
+        "{}",
+        String::from_utf8_lossy(&insert.stderr)
+    );
+    assert!(grown.exists(), "grown image not written");
+    let bytes = std::fs::read(&grown).expect("grown image");
+    assert_eq!(&bytes[..5], b"HABC\x02", "output must be v2");
+    let text = inspect(&grown);
+    assert!(text.contains("HABC container (v2)"), "{text}");
+    assert!(text.contains("filter id   : scalable-habf"), "{text}");
+    let query = Command::new(bin())
+        .arg("query")
+        .arg(&grown)
+        .args(["golden:pos:0", "fresh:0", "fresh:199"])
+        .output()
+        .expect("query grown");
+    assert!(query.status.success(), "inserted or built key lost");
 }
 
 /// `--fast` next to an explicit `--filter` is a contradiction, not a

@@ -5,7 +5,8 @@
 //! This intentionally exercises only `habf::prelude` + re-exported modules,
 //! pinning the public surface the workspace promises downstream users.
 
-use habf::prelude::{FHabf, Filter, Habf, HabfConfig};
+use habf::core::registry;
+use habf::prelude::{DynFilter, FHabf, Filter, Habf, HabfConfig};
 
 type Keys = Vec<Vec<u8>>;
 type CostedKeys = Vec<(Vec<u8>, f64)>;
@@ -36,8 +37,8 @@ fn facade_builds_habf_with_zero_false_negatives_and_persist_roundtrip() {
     }
 
     // Round-trip through persist: same answers on members and negatives.
-    let image = filter.to_bytes();
-    let shipped = Habf::from_bytes(&image).expect("image loads back");
+    let image = filter.to_container_bytes();
+    let shipped = registry::load(&image).expect("image loads back").filter;
     assert_eq!(filter.space_bits(), shipped.space_bits());
     for key in &positives {
         assert!(shipped.contains(key), "member dropped after round-trip");
@@ -61,7 +62,9 @@ fn facade_builds_fhabf_with_zero_false_negatives_and_persist_roundtrip() {
         assert!(filter.contains(key), "member dropped: {key:?}");
     }
 
-    let shipped = FHabf::from_bytes(&filter.to_bytes()).expect("image loads back");
+    let shipped = registry::load(&filter.to_container_bytes())
+        .expect("image loads back")
+        .filter;
     for key in &positives {
         assert!(shipped.contains(key), "member dropped after round-trip");
     }

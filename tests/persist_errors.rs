@@ -1,17 +1,19 @@
 //! Persistence error paths: untrusted bytes must produce *typed* errors,
 //! never panics — truncation, bad magic, wrong container version,
 //! unknown filter ids, frame misalignment, and arbitrary byte mutations,
-//! across every registered filter id in **both** container versions (the
-//! aligned v2 and the opaque v1) and both legacy formats, through the
-//! copying loader *and* the zero-copy shared-image loader.
+//! across every registered filter id in the aligned v2 container, and
+//! across every frozen old-format fixture (the opaque v1 containers and
+//! both legacy formats), through the copying loader *and* the zero-copy
+//! shared-image loader.
 
 use habf::core::registry;
 use habf::core::{BuildInput, FilterSpec, PersistError};
 use proptest::prelude::*;
 
-/// One small container image per registered id (plus the legacy images),
-/// used as the mutation corpus. Built once — the proptests below run
-/// hundreds of cases, and every filter construction is a full build.
+/// One small v2 container per registered id plus every frozen v1 and
+/// legacy fixture, used as the mutation corpus. Built once — the
+/// proptests below run hundreds of cases, and every filter construction
+/// is a full build.
 fn corpus() -> &'static [(String, Vec<u8>)] {
     static CORPUS: std::sync::OnceLock<Vec<(String, Vec<u8>)>> = std::sync::OnceLock::new();
     CORPUS.get_or_init(build_corpus)
@@ -25,30 +27,16 @@ fn build_corpus() -> Vec<(String, Vec<u8>)> {
     let input = BuildInput::from_members(&members).with_costed_negatives(&negatives);
     let mut images: Vec<(String, Vec<u8>)> = registry::ids()
         .into_iter()
-        .flat_map(|id| {
+        .map(|id| {
             let filter = FilterSpec::by_id(id)
                 .expect("registered")
                 .bits_per_key(12.0)
                 .shards(2)
                 .build(&input)
                 .unwrap_or_else(|e| panic!("{id}: {e}"));
-            [
-                // The current aligned envelope (word frames, zero-copy
-                // loadable) and the previous opaque envelope: both must
-                // be equally hardened against mutation.
-                (format!("container-v2:{id}"), filter.to_container_bytes()),
-                (format!("container-v1:{id}"), filter.to_container_bytes_v1()),
-            ]
+            (format!("container-v2:{id}"), filter.to_container_bytes())
         })
         .collect();
-    // Legacy formats go through the same loader and must be as hardened.
-    let cfg = habf::prelude::HabfConfig::with_total_bits(64 * 12);
-    let habf = habf::prelude::Habf::build(&members, &negatives, &cfg);
-    images.push(("legacy:habf".into(), habf.to_bytes()));
-    let scfg = habf::prelude::ShardedConfig::new(2, cfg);
-    let sharded =
-        habf::prelude::ShardedHabf::<habf::prelude::Habf>::build_par(&members, &negatives, &scfg);
-    images.push(("legacy:sharded".into(), sharded.to_bytes()));
     // A grown multi-tier stack: one container holding a frame set per
     // tier. Inside the corpus it rides every generic test — truncation
     // at every prefix lands *between* tier frame sets too, and random
@@ -68,11 +56,36 @@ fn build_corpus() -> Vec<(String, Vec<u8>)> {
         "container-v2:scalable-habf-grown".into(),
         scalable.to_container_bytes(),
     ));
-    images.push((
-        "container-v1:scalable-habf-grown".into(),
-        scalable.to_container_bytes_v1(),
-    ));
+    // The retired formats go through the same loader and must be as
+    // hardened: every frozen v1 container (the grown multi-tier stack
+    // included) and legacy image under tests/golden/.
+    images.extend(frozen_fixtures());
     images
+}
+
+/// Every frozen old-format fixture: the files named `*_v1.bin`.
+fn frozen_fixtures() -> Vec<(String, Vec<u8>)> {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .expect("golden dir")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .filter(|n| n.ends_with("_v1.bin"))
+        .collect();
+    names.sort();
+    // 11 v1 containers, 3 legacy images, 1 grown stack.
+    assert_eq!(names.len(), 15, "frozen fixtures: {names:?}");
+    names
+        .into_iter()
+        .map(|n| {
+            let bytes = std::fs::read(dir.join(&n)).expect("read fixture");
+            (n, bytes)
+        })
+        .collect()
 }
 
 #[test]
@@ -162,15 +175,20 @@ fn bad_magic_wrong_version_and_unknown_id_are_typed() {
         assert!(registry::load(&bad).is_err(), "{name}: trailing byte");
     }
 
-    // A well-formed container naming an id the registry does not serve.
-    let (_, image) = &corpus()[0];
-    let decoded = habf::core::persist::decode_container(image).expect("container");
-    let mut unknown = Vec::new();
-    habf::core::persist::encode_container("future-filter", decoded.payload, &mut unknown);
-    assert_eq!(
-        registry::load(&unknown).err(),
-        Some(PersistError::UnknownFilterId("future-filter".into()))
-    );
+    // A well-formed container, in either envelope version, naming an id
+    // the registry does not serve: the 3-byte id `xor` becomes `zzz`.
+    let mut renamed = 0;
+    for (name, image) in corpus().iter().filter(|(n, _)| n.contains("xor")) {
+        let mut unknown = image.clone();
+        unknown[6..9].copy_from_slice(b"zzz");
+        assert_eq!(
+            registry::load(&unknown).err(),
+            Some(PersistError::UnknownFilterId("zzz".into())),
+            "{name}"
+        );
+        renamed += 1;
+    }
+    assert_eq!(renamed, 2, "both envelope versions must be exercised");
 }
 
 /// Tier-count corruption in a grown multi-tier image: the count is
@@ -225,6 +243,55 @@ fn corrupt_tier_counts_in_grown_images_are_typed() {
         checked += 1;
     }
     assert_eq!(checked, 2, "both container versions must be exercised");
+}
+
+/// Lying counts in the old formats — a shard count, a per-shard blob
+/// length, a Bloom length, a cost-cache length — are typed errors before
+/// any count-sized allocation.
+#[test]
+fn oversized_counts_in_old_formats_are_typed() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let fixture = |name: &str| std::fs::read(dir.join(name)).expect("fixture");
+    let patch = |mut image: Vec<u8>, at: usize, bytes: &[u8]| {
+        image[at..at + bytes.len()].copy_from_slice(bytes);
+        image
+    };
+    // Legacy HABS: magic(4) version(1) kind(1) | shards u32 | splitter
+    // seed, built keys, inserted (3 × u64) | first blob_len u64. The v1
+    // container of the same id frames that image after its 14 + id-length
+    // header bytes.
+    let habs = fixture("sharded_habf_v1.bin");
+    let v1 = fixture("container_sharded-habf_v1.bin");
+    for (image, base) in [(habs, 0), (v1, 14 + "sharded-habf".len())] {
+        for lie in [0u32, u32::MAX] {
+            assert_eq!(
+                registry::load(&patch(image.clone(), base + 6, &lie.to_le_bytes())).err(),
+                Some(PersistError::Corrupt("shard count out of range")),
+                "shard count {lie} at {base}"
+            );
+        }
+        assert_eq!(
+            registry::load(&patch(image, base + 34, &u64::MAX.to_le_bytes())).err(),
+            Some(PersistError::Truncated),
+            "blob length at {base}"
+        );
+    }
+    // Legacy HABF: magic(4) version(1) kind(1) k(1) cell_bits(1)
+    // h0_len(1) | h0 (k bytes) | family u64 | sim_seed u64 | m u64.
+    let habf = fixture("habf_v1.bin");
+    let k = usize::from(habf[6]);
+    assert_eq!(
+        registry::load(&patch(habf, 9 + k + 16, &u64::MAX.to_le_bytes())).err(),
+        Some(PersistError::Truncated)
+    );
+    // v1 weighted-bloom payload: version(1) k_default(2) items(8) |
+    // cache_len u64.
+    let wbf = fixture("container_weighted-bloom_v1.bin");
+    let at = 14 + "weighted-bloom".len() + 11;
+    assert_eq!(
+        registry::load(&patch(wbf, at, &u64::MAX.to_le_bytes())).err(),
+        Some(PersistError::Truncated)
+    );
 }
 
 proptest! {

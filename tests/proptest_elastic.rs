@@ -88,8 +88,7 @@ proptest! {
         }
         // The stack round-trips through the registry with the exact
         // same membership answer for every key it holds.
-        let mut image = Vec::new();
-        habf::core::persist::encode_container("scalable-habf", &filter.to_bytes(), &mut image);
+        let image = habf::core::DynFilter::to_container_bytes(&filter);
         let loaded = registry::load(&image).expect("round trip");
         for k in members.iter().chain(&inserted) {
             prop_assert!(loaded.filter.contains(k), "round trip dropped {:?}", k);
