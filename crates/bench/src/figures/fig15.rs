@@ -6,6 +6,14 @@
 //! Paper finding: HABF construction costs ~6.1× the memory of BF (it keeps
 //! the negative keys plus the V/Γ runtime indexes), f-HABF ~3.6× (no Γ);
 //! learned filters cost the most.
+//!
+//! This implementation measures below those ratios: about 2.1× BF for
+//! HABF and 1.8× for f-HABF on the default scaled datasets (EXPERIMENTS.md).
+//! Its V and Γ cover only the Bloom bits some negative key maps to, not
+//! every bit (DESIGN.md §3 item 6), so TPJO's scratch is
+//! `O(m/8 + |S| + k·|O|)` bytes: a bitmap over the Bloom range plus a few
+//! words per negative key. Indexes spanning every Bloom bit cost several
+//! words per bit whatever the negatives, which is most of the paper's 6.1×.
 
 use crate::report::{bytes, Table};
 use crate::suite::{self, Spec};

@@ -192,12 +192,24 @@ pub struct TenantStore {
     generation: AtomicU64,
     /// What kind the last completed rebuild was (stats surface).
     last_rebuild: Mutex<Option<RebuildKind>>,
+    /// Whether the filter has the growth and rebuild capabilities. Both
+    /// belong to the filter's type, and a swap always installs a reload
+    /// of the same id, so they are read once here; a refused mutation
+    /// then answers without copying the filter.
+    growable: bool,
+    rebuildable: bool,
 }
 
 impl TenantStore {
     /// Wraps an already-built (or loaded) filter as a tenant.
     #[must_use]
-    pub fn new(name: impl Into<String>, filter: Box<dyn DynFilter>, policy: AdaptPolicy) -> Self {
+    pub fn new(
+        name: impl Into<String>,
+        mut filter: Box<dyn DynFilter>,
+        policy: AdaptPolicy,
+    ) -> Self {
+        let growable = filter.as_growable().is_some();
+        let rebuildable = filter.as_rebuildable().is_some();
         Self {
             name: name.into(),
             filter: RwLock::new(Arc::from(filter)),
@@ -207,6 +219,8 @@ impl TenantStore {
             rebuild_gate: Mutex::new(()),
             generation: AtomicU64::new(0),
             last_rebuild: Mutex::new(None),
+            growable,
+            rebuildable,
         }
     }
 
@@ -360,8 +374,14 @@ impl TenantStore {
     ///
     /// # Errors
     /// [`InsertError::NotGrowable`] when the filter lacks the capability
-    /// — a typed refusal, never a silent zero-FN degradation.
+    /// — a typed refusal, never a silent zero-FN degradation. It is
+    /// answered before any copy, so it costs O(1) whatever the filter size.
     pub fn insert_keys(&self, keys: &[Vec<u8>]) -> Result<InsertReport, InsertError> {
+        if !self.growable {
+            return Err(InsertError::NotGrowable {
+                id: self.snapshot().filter_id(),
+            });
+        }
         let _gate = self
             .rebuild_gate
             .lock()
@@ -411,7 +431,8 @@ impl TenantStore {
     /// # Errors
     /// [`RebuildError::NoMembers`] without a positive set,
     /// [`RebuildError::NotRebuildable`] when the filter lacks the
-    /// capability, and the underlying build error otherwise.
+    /// capability (answered before any copy), and the underlying build
+    /// error otherwise.
     pub fn rebuild_now(&self, seed: u64, max_hints: usize) -> Result<RebuildOutcome, RebuildError> {
         let _gate = self
             .rebuild_gate
@@ -422,6 +443,9 @@ impl TenantStore {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         let members = members_guard.as_ref().ok_or(RebuildError::NoMembers)?;
+        if !self.rebuildable {
+            return Err(RebuildError::NotRebuildable);
+        }
 
         let snapshot = self.snapshot();
         // Classify the rebuild before it runs: a multi-tier stack folds,

@@ -28,10 +28,20 @@
 //! f-HABF runs the same loop with `use_gamma = false`, which restricts
 //! phase-I to class (a) — adjustments that set no new bit and therefore
 //! need no conflict detection (paper §III-G).
+//!
+//! **Scratch memory follows the inputs, not `m`.** TPJO reads `V` and `Γ`
+//! only at bits some negative key maps to under `H0`, so both cover just
+//! those bits ([`Units`]). Algorithm 1's `σ` test reads the Bloom array.
+//! A positive is adjusted at most once, so every candidate `e_s` still has
+//! `φ(e_s) = H0`, and its positions are re-hashed when it is picked
+//! instead of being stored for every member. A build therefore needs
+//! `O(m/8 + |S| + k·|O|)` bytes beside its output, and a build over no
+//! negatives (an empty growth tier) builds no index at all. The output is
+//! the same as with the paper's indexes, which span the whole Bloom array.
 
-use crate::gamma::Gamma;
+use crate::gamma::{ConflictSet, Gamma};
 use crate::hash_expressor::HashExpressor;
-use crate::vindex::VIndex;
+use crate::vindex::{Units, VIndex};
 use crate::MAX_K;
 use habf_hashing::{HashId, HashProvider};
 use habf_util::{BitVec, Xoshiro256};
@@ -152,40 +162,54 @@ pub fn run<P: HashProvider>(
         ..BuildStats::default()
     };
 
+    // ---- Hash O first: its distinct H0 positions are the units, the only
+    // bits V and Γ are ever read at.
+    assert!(
+        positives.len() < u32::MAX as usize && negatives.len() * k < u32::MAX as usize,
+        "key indices and negative positions must fit in u32"
+    );
+    let mut scratch: Vec<u32> = Vec::with_capacity(k);
+    let mut neg_positions: Vec<u32> = Vec::with_capacity(negatives.len() * k);
+    for (key, _cost) in negatives {
+        positions_batch(provider, key.as_ref(), &h0, m, &mut scratch);
+        neg_positions.extend_from_slice(&scratch);
+    }
+    let units = Units::new(m, &neg_positions);
+    // Every negative position is a unit by construction.
+    let unit_of = |p: u32| units.unit(p as usize).expect("negative position is a unit");
+
     // ---- Initialization: insert S with H0, build the Bloom array and V.
     let mut bloom = BitVec::new(m);
-    let mut v = VIndex::new(m);
-    let mut pos_phis: Vec<HashId> = Vec::with_capacity(positives.len() * k);
-    let mut pos_positions: Vec<u32> = Vec::with_capacity(positives.len() * k);
-    let mut scratch: Vec<u32> = Vec::with_capacity(k);
+    let mut v = VIndex::new(units.len());
     for (idx, key) in positives.iter().enumerate() {
         positions_batch(provider, key.as_ref(), &h0, m, &mut scratch);
-        for (&id, &p) in h0.iter().zip(scratch.iter()) {
+        for &p in &scratch {
             bloom.set(p as usize);
-            v.insert(p as usize, idx as u32);
-            pos_phis.push(id);
-            pos_positions.push(p);
+            if let Some(u) = units.unit(p as usize) {
+                v.insert(u, idx as u32);
+            }
         }
     }
 
     // ---- Classify O into collision keys and optimized keys.
-    let mut neg_positions: Vec<u32> = Vec::with_capacity(negatives.len() * k);
+    let neg_positions_of = |idx: u32| &neg_positions[idx as usize * k..idx as usize * k + k];
     let mut neg_state: Vec<NegState> = Vec::with_capacity(negatives.len());
-    let mut gamma = config.use_gamma.then(|| Gamma::new(m));
+    let mut gamma = config
+        .use_gamma
+        .then(|| Gamma::new(units.len(), neg_positions.iter().map(|&p| unit_of(p))));
     let mut queue: VecDeque<u32> = VecDeque::new();
     let mut initial_ck: Vec<u32> = Vec::new();
-    for (idx, (key, _cost)) in negatives.iter().enumerate() {
-        positions_batch(provider, key.as_ref(), &h0, m, &mut scratch);
-        let is_collision = scratch.iter().all(|&p| bloom.get(p as usize));
-        neg_positions.extend_from_slice(&scratch);
+    for idx in 0..negatives.len() as u32 {
+        let positions = neg_positions_of(idx);
+        let is_collision = positions.iter().all(|&p| bloom.get(p as usize));
         neg_state.push(NegState {
             is_collision,
             requeues: 0,
         });
         if is_collision {
-            initial_ck.push(idx as u32);
+            initial_ck.push(idx);
         } else if let Some(g) = gamma.as_mut() {
-            g.insert(idx as u32, &scratch);
+            g.insert(idx, positions.iter().map(|&p| unit_of(p)));
         }
     }
     // Collision queue in descending cost order (paper Fig 6).
@@ -199,24 +223,22 @@ pub fn run<P: HashProvider>(
     queue.extend(initial_ck);
 
     let mut he = HashExpressor::new(config.omega, config.cell_bits, k);
+    // A positive is adjusted at most once, so every candidate e_s still
+    // uses H0: φ(e_s) = H0 and its positions are re-hashed when needed.
     let mut in_he = vec![false; positives.len()];
-    let neg_pos_of = |flat: &Vec<u32>, idx: u32| -> [u32; MAX_K] {
-        let mut out = [0u32; MAX_K];
-        out[..k].copy_from_slice(&flat[idx as usize * k..idx as usize * k + k]);
-        out
-    };
+    let mut es_positions: Vec<u32> = Vec::with_capacity(k);
 
     // ---- Main loop over the collision queue.
     while let Some(eck) = queue.pop_front() {
         let eck_us = eck as usize;
-        let positions = &neg_positions[eck_us * k..eck_us * k + k];
+        let positions = neg_positions_of(eck);
         // Lazy re-test: earlier bit clears may have resolved this key.
         if positions.iter().any(|&p| !bloom.get(p as usize)) {
             if neg_state[eck_us].is_collision {
                 neg_state[eck_us].is_collision = false;
                 stats.resolved_lazily += 1;
                 if let Some(g) = gamma.as_mut() {
-                    g.insert(eck, positions);
+                    g.insert(eck, positions.iter().map(|&p| unit_of(p)));
                 }
             }
             continue;
@@ -225,33 +247,28 @@ pub fn run<P: HashProvider>(
         let eck_cost = negatives[eck_us].1;
 
         // ξ_ck: adjustable units among e_ck's positions.
-        let mut xi: Vec<(u32, u32)> = Vec::with_capacity(k); // (unit, e_s)
+        let mut xi: Vec<(u32, usize, u32)> = Vec::with_capacity(k); // (bit, unit, e_s)
         for (i, &u) in positions.iter().enumerate() {
             if positions[..i].contains(&u) {
                 continue; // duplicate position
             }
-            if let Some(es) = v.single_key(u as usize) {
+            let unit = unit_of(u);
+            if let Some(es) = v.single_key(unit) {
                 if !in_he[es as usize] {
-                    xi.push((u, es));
+                    xi.push((u, unit, es));
                 }
             }
         }
 
         let mut committed = false;
-        'units: for &(u, es) in &xi {
+        'units: for &(u, u_unit, es) in &xi {
             let es_us = es as usize;
             let es_key = positives[es_us].as_ref();
-            let phi = &pos_phis[es_us * k..es_us * k + k];
+            positions_batch(provider, es_key, &h0, m, &mut es_positions);
             // Which slot of φ(e_s) maps to u? (unique: u is single-mapped)
-            let Some(slot) = (0..k).find(|&j| pos_positions[es_us * k + j] == u) else {
+            let Some(slot) = es_positions.iter().position(|&p| p == u) else {
                 continue; // stale V entry (defensive; should not happen)
             };
-            let hu = phi[slot];
-            debug_assert_eq!(
-                provider.position(hu, es_key, m),
-                u as usize,
-                "V desynchronized from φ(e_s)"
-            );
 
             // Candidate replacements from H_c = H − φ(e_s).
             let mut direct: Vec<(HashId, u32)> = Vec::new(); // classes (a)+(b)
@@ -263,9 +280,9 @@ pub fn run<P: HashProvider>(
             // contains complex operations for accuracy" (§III-G): the same
             // candidate space, minus the accuracy of conflict checking.
             let mut blind: Vec<(HashId, u32)> = Vec::new();
-            let mut costly: Option<(HashId, u32, crate::gamma::ConflictSet, f64)> = None;
+            let mut costly: Option<(HashId, u32, ConflictSet, f64)> = None;
             for id in 1..=n_hash as u8 {
-                if phi.contains(&id) {
+                if h0.contains(&id) {
                     continue;
                 }
                 let p = provider.position(id, es_key, m) as u32;
@@ -277,14 +294,19 @@ pub fn run<P: HashProvider>(
                 if bloom.get(p as usize) {
                     direct.push((id, p)); // class (a)
                 } else if let Some(g) = gamma.as_ref() {
-                    let cs = g.detect_conflicts(
-                        p as usize,
-                        &v,
-                        k,
-                        |i| neg_pos_of(&neg_positions, i),
-                        |i| !neg_state[i as usize].is_collision,
-                        |i| negatives[i as usize].1,
-                    );
+                    // A bit no negative maps to has no Γ bucket: setting it
+                    // conflicts with nothing.
+                    let cs = match units.unit(p as usize) {
+                        Some(unit) => g.detect_conflicts(
+                            unit,
+                            p as usize,
+                            &bloom,
+                            neg_positions_of,
+                            |i| !neg_state[i as usize].is_collision,
+                            |i| negatives[i as usize].1,
+                        ),
+                        None => ConflictSet::default(),
+                    };
                     if cs.is_clear() {
                         direct.push((id, p)); // class (b)
                     } else if config.enable_class_c {
@@ -301,29 +323,28 @@ pub fn run<P: HashProvider>(
             // Phase-II: keep the insertable plan with maximal cell overlap.
             // Side-effect-free candidates (class a / checked class b) are
             // preferred over blind ones.
-            let pick_best =
-                |pool: &[(HashId, u32)],
-                 he: &HashExpressor,
-                 rng: &mut Xoshiro256|
-                 -> Option<(crate::hash_expressor::InsertPlan, HashId, u32)> {
-                    let mut best: Option<(crate::hash_expressor::InsertPlan, HashId, u32)> = None;
-                    for &(id, p) in pool {
-                        let mut phi2: Vec<HashId> = phi.to_vec();
-                        phi2[slot] = id;
-                        if let Some(plan) = he.plan(es_key, &phi2, provider, rng) {
-                            if best
-                                .as_ref()
-                                .is_none_or(|(b, _, _)| plan.shared_cells() > b.shared_cells())
-                            {
-                                best = Some((plan, id, p));
-                            }
-                            if !config.overlap_tiebreak {
-                                break; // ablation: first insertable candidate wins
-                            }
+            let pick_best = |pool: &[(HashId, u32)],
+                             he: &HashExpressor,
+                             rng: &mut Xoshiro256|
+             -> Option<(crate::hash_expressor::InsertPlan, u32)> {
+                let mut best: Option<(crate::hash_expressor::InsertPlan, u32)> = None;
+                for &(id, p) in pool {
+                    let mut phi2: Vec<HashId> = h0.clone();
+                    phi2[slot] = id;
+                    if let Some(plan) = he.plan(es_key, &phi2, provider, rng) {
+                        if best
+                            .as_ref()
+                            .is_none_or(|(b, _)| plan.shared_cells() > b.shared_cells())
+                        {
+                            best = Some((plan, p));
+                        }
+                        if !config.overlap_tiebreak {
+                            break; // ablation: first insertable candidate wins
                         }
                     }
-                    best
-                };
+                }
+                best
+            };
             let mut best = pick_best(&direct, &he, &mut rng);
             if best.is_none() {
                 best = pick_best(&blind, &he, &mut rng);
@@ -332,37 +353,37 @@ pub fn run<P: HashProvider>(
             if best.is_none() {
                 // Class (c) fallback.
                 if let Some((id, p, cs, _)) = costly {
-                    let mut phi2: Vec<HashId> = phi.to_vec();
+                    let mut phi2: Vec<HashId> = h0.clone();
                     phi2[slot] = id;
                     if let Some(plan) = he.plan(es_key, &phi2, provider, &mut rng) {
                         new_conflicts = cs.keys;
-                        best = Some((plan, id, p));
+                        best = Some((plan, p));
                     }
                 }
             }
 
-            let Some((plan, hc, p_new)) = best else {
+            let Some((plan, p_new)) = best else {
                 continue 'units;
             };
 
-            // ---- Commit: HashExpressor, Bloom bits, V, φ(e_s), Γ.
+            // ---- Commit: HashExpressor, Bloom bits, V, Γ.
             he.commit(&plan);
             in_he[es_us] = true;
             stats.adjusted_positives += 1;
 
             bloom.clear(u as usize);
-            v.reset_single(u as usize);
+            v.reset_single(u_unit);
             if !bloom.get(p_new as usize) {
                 bloom.set(p_new as usize);
             }
-            v.insert(p_new as usize, es);
-            pos_phis[es_us * k + slot] = hc;
-            pos_positions[es_us * k + slot] = p_new;
+            if let Some(unit) = units.unit(p_new as usize) {
+                v.insert(unit, es);
+            }
 
             neg_state[eck_us].is_collision = false;
             stats.optimized += 1;
             if let Some(g) = gamma.as_mut() {
-                g.insert(eck, positions);
+                g.insert(eck, positions.iter().map(|&p| unit_of(p)));
             }
             for nk in new_conflicts {
                 let nk_us = nk as usize;

@@ -1,28 +1,109 @@
-//! The runtime index `V` (paper §III-D, Fig 4).
+//! The runtime index `V` (paper §III-D, Fig 4) and the units it covers.
 //!
-//! `V` mirrors the Bloom bit array with one unit per bit, tracking for each
-//! bit **whether it is mapped by positive keys at most once** and, if so,
-//! by *which* key. TPJO only ever adjusts a positive key away from a bit
-//! that key maps *alone* — that is exactly the situation where the Bloom
-//! bit can be reset to 0, which is what turns a collision key back into a
-//! true negative.
+//! `V` tracks for each *unit* — a Bloom bit — **whether it is mapped by
+//! positive keys at most once** and, if so, by *which* key. TPJO only ever
+//! adjusts a positive key away from a bit that key maps *alone* — that is
+//! exactly the situation where the Bloom bit can be reset to 0, which is
+//! what turns a collision key back into a true negative.
 //!
 //! Case rules on insertion of key `e` into unit `u` (paper Fig 4):
 //! 1. `⟨1, NULL⟩ → ⟨1, e⟩` — first mapping.
 //! 2. `⟨1, e'⟩ → ⟨0, e'⟩` — second mapping degrades the single flag.
 //! 3. `⟨0, e'⟩` — unchanged.
 //!
-//! The structure maintains the invariant `keyid ≠ NULL ⇔ the bit is mapped
-//! by ≥ 1 positive key`, so `V` doubles as the ground truth for
-//! `σ(i) = 1` during conflict detection (Algorithm 1 reads
-//! `V[h(e_opk)].keyid ≠ NULL`).
+//! ## Which bits get a unit
+//!
+//! The paper sizes `V` to the whole Bloom array, but TPJO reads `V` only
+//! at bits a collision key maps to under `H0`: it looks up `ξ_ck`
+//! there, and resets the unit it adjusts a key away from. So only bits
+//! some *negative* key maps to under `H0` get a unit. [`Units`] numbers
+//! them densely (a rank over a bitmap of those positions), and `V` is two
+//! arrays over those numbers. An insertion at any other bit has no unit
+//! and is dropped: nothing would ever read it. A build over no negatives
+//! therefore has no units at all.
+//!
+//! The paper also reads `V` for Algorithm 1's `σ(i) = 1` test
+//! (`V.keyid ≠ NULL`). That test always equals the Bloom bit — a unit is
+//! reset exactly when its bit is cleared and inserted exactly when its
+//! bit is set — so conflict detection reads the Bloom array instead
+//! (see [`crate::gamma`]).
 
 use habf_util::BitVec;
 
 /// Sentinel for "no key".
 const NONE: u32 = u32::MAX;
 
-/// The `V` index: `m` units of ⟨singleflag, keyid⟩.
+/// The units of TPJO's runtime indexes: the distinct Bloom positions some
+/// negative key maps to, numbered `0..len()` in position order.
+///
+/// A bitmap marks the positions and a per-word prefix count turns a
+/// marked position into its unit number with one word load and one
+/// popcount. It costs `m/8 + m/16` bytes for an `m`-bit Bloom array, and
+/// nothing at all when there are no positions.
+#[derive(Clone, Debug, Default)]
+pub struct Units {
+    /// Bit `p` set iff position `p` is a unit.
+    words: Vec<u64>,
+    /// `ranks[w]` = units in `words[..w]`.
+    ranks: Vec<u32>,
+    /// Total unit count.
+    len: usize,
+}
+
+impl Units {
+    /// Marks `positions` (each `< m`, duplicates allowed) as units.
+    ///
+    /// # Panics
+    /// Panics if a position is `≥ m`.
+    #[must_use]
+    pub fn new(m: usize, positions: &[u32]) -> Self {
+        if positions.is_empty() {
+            return Self::default();
+        }
+        let mut words = vec![0u64; m.div_ceil(64)];
+        for &p in positions {
+            let p = p as usize;
+            assert!(p < m, "position {p} out of range {m}");
+            words[p / 64] |= 1 << (p % 64);
+        }
+        let mut ranks = Vec::with_capacity(words.len());
+        let mut len = 0usize;
+        for w in &words {
+            // At most one unit per position, and positions are `u32`.
+            ranks.push(len as u32);
+            len += w.count_ones() as usize;
+        }
+        Self { words, ranks, len }
+    }
+
+    /// Number of units.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` when no position is a unit.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The unit number of Bloom position `position`, or `None` when no
+    /// negative key maps there.
+    #[must_use]
+    #[inline]
+    pub fn unit(&self, position: usize) -> Option<usize> {
+        let word = *self.words.get(position / 64)?;
+        let bit = 1u64 << (position % 64);
+        if word & bit == 0 {
+            return None;
+        }
+        let below = self.ranks.get(position / 64)?;
+        Some(*below as usize + (word & (bit - 1)).count_ones() as usize)
+    }
+}
+
+/// The `V` index: one ⟨singleflag, keyid⟩ per unit.
 #[derive(Clone, Debug)]
 pub struct VIndex {
     singleflag: BitVec,
@@ -30,16 +111,18 @@ pub struct VIndex {
 }
 
 impl VIndex {
-    /// Creates `m` units, all `⟨1, NULL⟩`.
+    /// Creates `units` units, all `⟨1, NULL⟩`.
     #[must_use]
-    pub fn new(m: usize) -> Self {
-        let mut singleflag = BitVec::new(m);
-        for i in 0..m {
-            singleflag.set(i);
+    pub fn new(units: usize) -> Self {
+        let mut flags = vec![u64::MAX; units.div_ceil(64)];
+        if let Some(last) = flags.last_mut() {
+            if units % 64 != 0 {
+                *last = (1 << (units % 64)) - 1;
+            }
         }
         Self {
-            singleflag,
-            keyid: vec![NONE; m],
+            singleflag: BitVec::from_words(flags, units),
+            keyid: vec![NONE; units],
         }
     }
 
@@ -56,7 +139,7 @@ impl VIndex {
     }
 
     /// Inserts positive key `key_idx` into unit `unit` (one per hash
-    /// function application, so a key is inserted `k` times overall).
+    /// function application that lands on a unit).
     #[inline]
     pub fn insert(&mut self, unit: usize, key_idx: u32) {
         debug_assert_ne!(key_idx, NONE, "key index collides with the sentinel");
@@ -74,9 +157,8 @@ impl VIndex {
 
     /// `true` iff the unit is mapped exactly once (adjustable).
     ///
-    /// Units are hash positions already reduced modulo `len()`, so the
-    /// bounds-masked probe is exact and TPJO's conflict-detection loops
-    /// carry no panic branch.
+    /// Unit numbers come from [`Units::unit`], so they are in range and
+    /// the bounds-masked probe is exact.
     #[must_use]
     #[inline]
     pub fn is_single(&self, unit: usize) -> bool {
@@ -94,14 +176,6 @@ impl VIndex {
         }
     }
 
-    /// `true` iff the Bloom bit behind `unit` is set (mapped ≥ once) —
-    /// the `keyid ≠ NULL` test of Algorithm 1.
-    #[must_use]
-    #[inline]
-    pub fn bit_is_set(&self, unit: usize) -> bool {
-        self.keyid[unit] != NONE
-    }
-
     /// Resets `unit` to `⟨1, NULL⟩` after its single occupant was adjusted
     /// away (paper §III-D: "for updating V, we reset unit u").
     ///
@@ -114,13 +188,6 @@ impl VIndex {
         self.singleflag.set(unit);
         self.keyid[unit] = NONE;
     }
-
-    /// Number of single-mapped units (diagnostics; relates to `P_ξ` of
-    /// Theorem 4.1).
-    #[must_use]
-    pub fn count_single(&self) -> usize {
-        (0..self.len()).filter(|&u| self.is_single(u)).count()
-    }
 }
 
 #[cfg(test)]
@@ -128,12 +195,58 @@ mod tests {
     use super::*;
 
     #[test]
+    fn units_number_distinct_positions_in_order() {
+        let units = Units::new(200, &[130, 5, 64, 5, 199, 63]);
+        assert_eq!(units.len(), 5);
+        let numbered: Vec<Option<usize>> = [5, 63, 64, 130, 199]
+            .iter()
+            .map(|&p| units.unit(p))
+            .collect();
+        assert_eq!(numbered, [Some(0), Some(1), Some(2), Some(3), Some(4)]);
+        for p in [0, 4, 6, 62, 65, 129, 131, 198, 200, 10_000] {
+            assert_eq!(units.unit(p), None, "position {p}");
+        }
+    }
+
+    #[test]
+    fn no_positions_allocate_nothing() {
+        let units = Units::new(1 << 24, &[]);
+        assert!(units.is_empty());
+        assert!(units.words.capacity() == 0 && units.ranks.capacity() == 0);
+        assert_eq!(units.unit(0), None);
+        assert_eq!(units.unit((1 << 24) - 1), None);
+    }
+
+    #[test]
+    fn unit_rank_matches_a_brute_force_count() {
+        let m = 1_000;
+        let positions: Vec<u32> = (0..300u32).map(|i| (i * 37 + i * i) % m).collect();
+        let units = Units::new(m as usize, &positions);
+        let mut marked = vec![false; m as usize];
+        for &p in &positions {
+            marked[p as usize] = true;
+        }
+        let mut next = 0;
+        for (p, &is_unit) in marked.iter().enumerate() {
+            if is_unit {
+                assert_eq!(units.unit(p), Some(next), "position {p}");
+                next += 1;
+            } else {
+                assert_eq!(units.unit(p), None, "position {p}");
+            }
+        }
+        assert_eq!(units.len(), next);
+    }
+
+    #[test]
     fn fresh_units_are_empty() {
-        let v = VIndex::new(16);
-        for u in 0..16 {
-            assert!(!v.is_single(u));
-            assert!(!v.bit_is_set(u));
-            assert_eq!(v.single_key(u), None);
+        for n in [0, 1, 63, 64, 65, 130] {
+            let v = VIndex::new(n);
+            assert_eq!(v.len(), n);
+            for u in 0..n {
+                assert!(!v.is_single(u));
+                assert_eq!(v.single_key(u), None);
+            }
         }
     }
 
@@ -144,16 +257,13 @@ mod tests {
         v.insert(3, 7);
         assert!(v.is_single(3));
         assert_eq!(v.single_key(3), Some(7));
-        assert!(v.bit_is_set(3));
         // Case 2: second mapping degrades, keeps keyid.
         v.insert(3, 9);
         assert!(!v.is_single(3));
-        assert!(v.bit_is_set(3));
         assert_eq!(v.single_key(3), None);
         // Case 3: further mappings change nothing.
         v.insert(3, 11);
         assert!(!v.is_single(3));
-        assert!(v.bit_is_set(3));
     }
 
     #[test]
@@ -172,7 +282,6 @@ mod tests {
         let mut v = VIndex::new(4);
         v.insert(2, 1);
         v.reset_single(2);
-        assert!(!v.bit_is_set(2));
         assert!(!v.is_single(2));
         // The unit is reusable.
         v.insert(2, 8);
@@ -181,7 +290,7 @@ mod tests {
     }
 
     #[test]
-    fn count_single_matches_model() {
+    fn single_flags_match_a_count_model() {
         let mut v = VIndex::new(100);
         // Brute-force model of per-unit insertion counts.
         let mut counts = vec![0usize; 100];
@@ -198,10 +307,7 @@ mod tests {
             v.insert(u, k);
             counts[u] += 1;
         }
-        let model = counts.iter().filter(|&&c| c == 1).count();
-        assert_eq!(v.count_single(), model);
         for (u, &c) in counts.iter().enumerate() {
-            assert_eq!(v.bit_is_set(u), c >= 1, "unit {u}");
             assert_eq!(v.is_single(u), c == 1, "unit {u}");
         }
     }

@@ -1,0 +1,94 @@
+//! Construction memory, measured with the tracking allocator installed as
+//! this binary's global allocator.
+//!
+//! The tracker's counters are process-wide, so this binary holds a single
+//! test: a second one running on another thread would count its own
+//! allocations into every measurement here.
+
+use habf_core::adapt::AdaptPolicy;
+use habf_core::{BuildInput, FilterSpec, Habf, HabfConfig, InsertError, RebuildError};
+use habf_core::{ScalableHabf, TenantStore};
+use habf_filters::Filter;
+use habf_util::alloc::TrackingAllocator;
+
+#[global_allocator]
+static ALLOC: TrackingAllocator = TrackingAllocator;
+
+/// Peak heap bytes of a `Habf::build`, per member and per negative. The
+/// built filter itself takes 1.25 bytes per member at 10 bits per key;
+/// the rest is TPJO's scratch, which follows the inputs.
+const BUILD_BYTES_PER_MEMBER: usize = 8;
+const BUILD_BYTES_PER_NEGATIVE: usize = 64;
+
+fn keys(n: usize, tag: &str) -> Vec<Vec<u8>> {
+    (0..n).map(|i| format!("{tag}:{i}").into_bytes()).collect()
+}
+
+#[test]
+fn construction_and_refused_mutations_stay_within_their_memory_bounds() {
+    // Opening the next tier of a full stack costs about that tier: an
+    // empty tier has no negatives, so TPJO builds no index for it.
+    let members = keys(65_536, "member");
+    let none: [(&[u8], f64); 0] = [];
+    let mut stack = ScalableHabf::build(&members, &none, &HabfConfig::with_total_bits(655_360));
+    assert_eq!(stack.generations(), 1);
+    let ((), peak) = TrackingAllocator::measure(|| stack.insert(b"late:0"));
+    assert_eq!(stack.generations(), 2, "the insert must open a tier");
+    let tier_bytes = stack.tier(1).space_bits() / 8;
+    assert!(
+        peak < 2 * tier_bytes,
+        "opening a {tier_bytes}-byte tier peaked at {peak} bytes"
+    );
+
+    // A build's scratch follows its members and negatives, not the Bloom
+    // array's length.
+    let negatives: Vec<(Vec<u8>, f64)> = keys(1_024, "hint")
+        .into_iter()
+        .enumerate()
+        .map(|(i, k)| (k, 1.0 + (i % 13) as f64))
+        .collect();
+    let config = HabfConfig::with_total_bits(10 * members.len());
+    let (filter, peak) = TrackingAllocator::measure(|| Habf::build(&members, &negatives, &config));
+    assert!(filter.stats().optimized > 0, "the build must optimize");
+    let bound = BUILD_BYTES_PER_MEMBER * members.len() + BUILD_BYTES_PER_NEGATIVE * negatives.len();
+    assert!(
+        peak < bound,
+        "Habf::build over {} members and {} negatives peaked at {peak} bytes (bound {bound})",
+        members.len(),
+        negatives.len()
+    );
+    drop(filter);
+
+    // Refused mutations answer before copying the filter.
+    let big = keys(100_000, "user");
+    let input = BuildInput::from_members(&big);
+    for (spec, refuse_insert) in [
+        (FilterSpec::sharded(8), true),
+        (FilterSpec::binary_fuse(), false),
+    ] {
+        let id = spec.id();
+        let filter = spec.bits_per_key(10.0).build(&input).expect("build");
+        let image_bytes = filter.to_container_bytes().len();
+        let tenant = TenantStore::new("t", filter, AdaptPolicy::cost_threshold(1.0))
+            .with_members(big.clone());
+        let late = keys(16, "late");
+        let (refused, peak) = TrackingAllocator::measure(|| {
+            if refuse_insert {
+                matches!(
+                    tenant.insert_keys(&late),
+                    Err(InsertError::NotGrowable { .. })
+                )
+            } else {
+                matches!(
+                    tenant.rebuild_now(7, 4_096),
+                    Err(RebuildError::NotRebuildable)
+                )
+            }
+        });
+        assert!(refused, "{id} must refuse");
+        assert!(
+            peak * 100 < image_bytes,
+            "a refused mutation on a {image_bytes}-byte {id} image allocated {peak} bytes"
+        );
+    }
+}
