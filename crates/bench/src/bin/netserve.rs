@@ -1,18 +1,13 @@
 //! Serve-layer load bench: wire QPS and p50/p99/p999 request latency of
-//! the multi-tenant filter server vs concurrent connection count, for
-//! each serving model (reactor and thread-per-connection).
+//! the multi-tenant filter server vs concurrent connection count.
 //!
-//! Prints the comparison table and writes a machine-readable summary
-//! (default `BENCH_serve.json`; `--out PATH` overrides) that CI uploads
-//! as the serve-trajectory artifact. The JSON's top-level rows are the
-//! first requested model's (default: reactor); every model's sweep is
-//! under `models`.
+//! Prints the table and writes a machine-readable summary (default
+//! `BENCH_serve.json`; `--out PATH` overrides) that CI uploads as the
+//! serve-trajectory artifact, stamped with the commit, `nproc` and
+//! rustc that produced it.
 //!
 //! Flags: `--out PATH`, `--keys N`, `--batch N`, `--requests N`,
-//! `--depth N`, `--conns A,B,C`, `--seed N`,
-//! `--models reactor,threads`.
-
-use habf_serve::ServeModel;
+//! `--depth N`, `--conns A,B,C`, `--seed N`.
 
 fn main() {
     let mut out = "BENCH_serve.json".to_string();
@@ -22,7 +17,6 @@ fn main() {
     let mut depth = 4usize;
     let mut conns = vec![1usize, 2, 4, 8];
     let mut seed = 0xBEEFu64;
-    let mut models = vec![ServeModel::Reactor, ServeModel::Threads];
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         let mut value = |name: &str| -> String {
@@ -42,16 +36,10 @@ fn main() {
                     .collect();
             }
             "--seed" => seed = value("--seed").parse().expect("--seed: integer"),
-            "--models" => {
-                models = value("--models")
-                    .split(',')
-                    .map(|m| m.trim().parse().expect("--models: reactor|threads"))
-                    .collect();
-            }
             "--help" | "-h" => {
                 eprintln!(
                     "flags: --out PATH | --keys N | --batch N | --requests N | --depth N | \
-                     --conns A,B,C | --seed N | --models reactor,threads"
+                     --conns A,B,C | --seed N"
                 );
                 return;
             }
@@ -59,17 +47,15 @@ fn main() {
         }
     }
     assert!(!conns.is_empty(), "--conns needs at least one count");
-    assert!(!models.is_empty(), "--models needs at least one model");
 
-    let r = habf_bench::netserve::run_netserve(keys, batch, requests, depth, &conns, seed, &models);
+    let r = habf_bench::netserve::run_netserve(keys, batch, requests, depth, &conns, seed);
     r.table().print();
     println!(
-        "\n{} keys served, {}-key frames pipelined {} deep: best {:.0} QPS ({}) across {} connection counts",
+        "\n{} keys served, {}-key frames pipelined {} deep: best {:.0} QPS across {} connection counts",
         r.keys,
         r.batch,
         r.depth,
         r.best_qps(),
-        r.models.first().map_or("none", |m| m.model.name()),
         conns.len(),
     );
     std::fs::write(&out, r.to_json()).expect("write summary");

@@ -1,23 +1,21 @@
 //! Serve-layer load bench: wire QPS and request latency of the
-//! multi-tenant filter server under concurrent batched-query clients,
-//! for each serving model (reactor and thread-per-connection).
+//! multi-tenant filter server under concurrent batched-query clients.
 //!
-//! One in-process server hosts a sharded tenant; for each serving model
-//! and each connection count, that many client threads each open a
-//! socket and drive pre-encoded `QUERY` frames of `batch` keys through
-//! a depth-windowed pipeline (`depth` frames in flight), stamping every
-//! request at send time and measuring its wall-time latency when its
-//! reply drains. The suite reports per-connection-count QPS (request
-//! frames per second), probe throughput (keys per second), and
-//! p50/p99/p999 request latency — the serving-layer analogue of the
-//! probe suite's Mops figures, with the protocol codec, socket, and
-//! tenant routing on the measured path. Frames are encoded before the
-//! clock starts so the client's encode cost is not billed to the
-//! server.
+//! One in-process server hosts a sharded tenant; for each connection
+//! count, that many client threads each open a socket and drive
+//! pre-encoded `QUERY` frames of `batch` keys through a depth-windowed
+//! pipeline (`depth` frames in flight), stamping every request at send
+//! time and measuring its wall-time latency when its reply drains. The
+//! suite reports per-connection-count QPS (request frames per second),
+//! probe throughput (keys per second), and p50/p99/p999 request latency
+//! — the serving-layer analogue of the probe suite's Mops figures, with
+//! the protocol codec, socket, and tenant routing on the measured path.
+//! Frames are encoded before the clock starts so the client's encode
+//! cost is not billed to the server.
 //!
 //! The `netserve` binary writes `BENCH_serve.json`, uploaded by CI as
-//! the serve-trajectory artifact; the top-level rows are the default
-//! (reactor) model's, with every measured model under `models`.
+//! the serve-trajectory artifact, with the commit, `nproc` and rustc
+//! that produced it.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Barrier};
@@ -27,7 +25,7 @@ use crate::report::Table;
 use habf_core::tenant::TenantStore;
 use habf_core::{AdaptPolicy, BuildInput, FilterSpec};
 use habf_serve::protocol::{self, frame_type};
-use habf_serve::{Client, ServeModel, Server, ServerConfig, TenantTable};
+use habf_serve::{Client, Server, ServerConfig, TenantTable};
 use habf_util::stats::percentile;
 
 /// One connection count's measured load figures.
@@ -49,15 +47,6 @@ pub struct ServeRow {
     pub p999_us: f64,
 }
 
-/// One serving model's full sweep over the connection counts.
-#[derive(Clone, Debug)]
-pub struct ModelRun {
-    /// The serving model measured.
-    pub model: ServeModel,
-    /// One row per measured connection count.
-    pub rows: Vec<ServeRow>,
-}
-
 /// Outcome of one serve-load run.
 #[derive(Clone, Debug)]
 pub struct ServeResult {
@@ -69,21 +58,15 @@ pub struct ServeResult {
     pub requests_per_connection: usize,
     /// Frames in flight per connection.
     pub depth: usize,
-    /// One sweep per measured serving model, default model first.
-    pub models: Vec<ModelRun>,
+    /// One row per measured connection count.
+    pub rows: Vec<ServeRow>,
 }
 
 impl ServeResult {
-    /// The headline sweep: the first (default-model) run's rows.
-    #[must_use]
-    pub fn rows(&self) -> &[ServeRow] {
-        self.models.first().map_or(&[], |m| m.rows.as_slice())
-    }
-
-    /// Best combined QPS across the headline sweep's connection counts.
+    /// Best combined QPS across the connection counts.
     #[must_use]
     pub fn best_qps(&self) -> f64 {
-        self.rows().iter().map(|r| r.qps).fold(0.0, f64::max)
+        self.rows.iter().map(|r| r.qps).fold(0.0, f64::max)
     }
 
     /// The printed comparison table.
@@ -92,7 +75,6 @@ impl ServeResult {
         let mut t = Table::new(
             "Filter server: batched-query load vs connection count",
             &[
-                "model",
                 "conns",
                 "requests",
                 "QPS",
@@ -102,85 +84,71 @@ impl ServeResult {
                 "p999 us",
             ],
         );
-        for m in &self.models {
-            for r in &m.rows {
-                t.row(&[
-                    m.model.name().to_string(),
-                    format!("{}", r.connections),
-                    format!("{}", r.requests),
-                    format!("{:.0}", r.qps),
-                    format!("{:.2}", r.keys_mops),
-                    format!("{:.0}", r.p50_us),
-                    format!("{:.0}", r.p99_us),
-                    format!("{:.0}", r.p999_us),
-                ]);
-            }
+        for r in &self.rows {
+            t.row(&[
+                format!("{}", r.connections),
+                format!("{}", r.requests),
+                format!("{:.0}", r.qps),
+                format!("{:.2}", r.keys_mops),
+                format!("{:.0}", r.p50_us),
+                format!("{:.0}", r.p99_us),
+                format!("{:.0}", r.p999_us),
+            ]);
         }
         t
     }
 
-    /// The `BENCH_serve.json` summary CI archives as an artifact.
+    /// The `BENCH_serve.json` summary CI archives as an artifact,
+    /// stamped with the commit, `nproc` and rustc it was measured on.
     #[must_use]
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
-        fn rows_json(rows: &[ServeRow]) -> String {
-            let mut out = String::new();
-            for (i, r) in rows.iter().enumerate() {
-                let _ = write!(
-                    out,
-                    "{}{{\"connections\":{},\
-                     \"requests\":{},\
-                     \"qps\":{:.1},\
-                     \"keys_mops\":{:.3},\
-                     \"p50_us\":{:.1},\
-                     \"p99_us\":{:.1},\
-                     \"p999_us\":{:.1}}}",
-                    if i == 0 { "" } else { "," },
-                    r.connections,
-                    r.requests,
-                    r.qps,
-                    r.keys_mops,
-                    r.p50_us,
-                    r.p99_us,
-                    r.p999_us,
-                );
-            }
-            out
-        }
-        let mut models = String::new();
-        for (i, m) in self.models.iter().enumerate() {
+        let mut rows = String::new();
+        for (i, r) in self.rows.iter().enumerate() {
             let _ = write!(
-                models,
-                "{}{{\"model\":\"{}\",\"rows\":[{}]}}",
+                rows,
+                "{}{{\"connections\":{},\
+                 \"requests\":{},\
+                 \"qps\":{:.1},\
+                 \"keys_mops\":{:.3},\
+                 \"p50_us\":{:.1},\
+                 \"p99_us\":{:.1},\
+                 \"p999_us\":{:.1}}}",
                 if i == 0 { "" } else { "," },
-                m.model.name(),
-                rows_json(&m.rows),
+                r.connections,
+                r.requests,
+                r.qps,
+                r.keys_mops,
+                r.p50_us,
+                r.p99_us,
+                r.p999_us,
             );
+        }
+        let mut provenance = String::new();
+        for (key, value) in crate::report::provenance() {
+            let _ = write!(provenance, "\"{key}\":\"{value}\",");
         }
         format!(
             "{{\"suite\":\"serve\",\
+             {provenance}\
              \"keys\":{},\
              \"batch\":{},\
              \"requests_per_connection\":{},\
              \"depth\":{},\
-             \"model\":\"{}\",\
              \"best_qps\":{:.1},\
-             \"rows\":[{}],\
-             \"models\":[{models}]}}",
+             \"rows\":[{rows}]}}",
             self.keys,
             self.batch,
             self.requests_per_connection,
             self.depth,
-            self.models.first().map_or("none", |m| m.model.name()),
             self.best_qps(),
-            rows_json(self.rows()),
         )
     }
 }
 
-/// Runs the serve-load comparison: one tenant of `keys` members at 10
-/// bits/key behind a loopback server, probed under each model in
-/// `models` by each count in `connection_counts`, with
+/// Runs the serve-load sweep: one tenant of `keys` members at 10
+/// bits/key behind a loopback server, probed by each count in
+/// `connection_counts`, with
 /// `requests_per_connection` pre-encoded frames of `batch` keys (half
 /// members, half fresh, per-connection phase shift so connections
 /// don't probe in lockstep) pipelined `depth` deep.
@@ -196,7 +164,6 @@ pub fn run_netserve(
     depth: usize,
     connection_counts: &[usize],
     seed: u64,
-    models: &[ServeModel],
 ) -> ServeResult {
     let members: Arc<Vec<Vec<u8>>> = Arc::new(
         (0..keys)
@@ -217,109 +184,103 @@ pub fn run_netserve(
     ));
     let depth = depth.max(1);
 
-    let mut model_runs = Vec::new();
-    for &model in models {
-        let tenants = Arc::clone(&tenants);
-        let config = ServerConfig {
-            max_connections: connection_counts.iter().copied().max().unwrap_or(1) + 4,
-            model,
-            ..ServerConfig::default()
-        };
-        let handle = Server::bind("127.0.0.1:0", tenants, config)
-            .expect("bind")
-            .spawn()
-            .expect("spawn");
-        let addr = handle.addr();
+    let config = ServerConfig {
+        max_connections: connection_counts.iter().copied().max().unwrap_or(1) + 4,
+        ..ServerConfig::default()
+    };
+    let handle = Server::bind("127.0.0.1:0", tenants, config)
+        .expect("bind")
+        .spawn()
+        .expect("spawn");
+    let addr = handle.addr();
 
-        let mut rows = Vec::new();
-        for &connections in connection_counts {
-            // All clients encode their frames, then release together so
-            // the measured window contains only wire traffic.
-            let gate = Arc::new(Barrier::new(connections + 1));
-            let workers: Vec<_> = (0..connections)
-                .map(|conn| {
-                    let members = Arc::clone(&members);
-                    let gate = Arc::clone(&gate);
-                    std::thread::spawn(move || {
-                        let mut client =
-                            Client::connect(addr, Duration::from_secs(30)).expect("connect");
-                        let frames: Vec<Vec<u8>> = (0..requests_per_connection)
-                            .map(|req| {
-                                let base = conn * 7919 + req * batch;
-                                let probe: Vec<Vec<u8>> = (0..batch)
-                                    .map(|i| {
-                                        if i % 2 == 0 {
-                                            members[(base + i) % members.len()].clone()
-                                        } else {
-                                            format!("fresh:{conn}:{req}:{i}").into_bytes()
-                                        }
-                                    })
-                                    .collect();
-                                let mut frame = Vec::new();
-                                protocol::write_frame(
-                                    &mut frame,
-                                    frame_type::QUERY,
-                                    &protocol::encode_query("bench", &probe),
-                                )
-                                .expect("encode");
-                                frame
-                            })
-                            .collect();
-                        gate.wait();
+    let mut rows = Vec::new();
+    for &connections in connection_counts {
+        // All clients encode their frames, then release together so
+        // the measured window contains only wire traffic.
+        let gate = Arc::new(Barrier::new(connections + 1));
+        let workers: Vec<_> = (0..connections)
+            .map(|conn| {
+                let members = Arc::clone(&members);
+                let gate = Arc::clone(&gate);
+                std::thread::spawn(move || {
+                    let mut client =
+                        Client::connect(addr, Duration::from_secs(30)).expect("connect");
+                    let frames: Vec<Vec<u8>> = (0..requests_per_connection)
+                        .map(|req| {
+                            let base = conn * 7919 + req * batch;
+                            let probe: Vec<Vec<u8>> = (0..batch)
+                                .map(|i| {
+                                    if i % 2 == 0 {
+                                        members[(base + i) % members.len()].clone()
+                                    } else {
+                                        format!("fresh:{conn}:{req}:{i}").into_bytes()
+                                    }
+                                })
+                                .collect();
+                            let mut frame = Vec::new();
+                            protocol::write_frame(
+                                &mut frame,
+                                frame_type::QUERY,
+                                &protocol::encode_query("bench", &probe),
+                            )
+                            .expect("encode");
+                            frame
+                        })
+                        .collect();
+                    gate.wait();
 
-                        let mut latencies_us = Vec::with_capacity(requests_per_connection);
-                        let mut in_flight: VecDeque<Instant> = VecDeque::with_capacity(depth);
-                        let mut next = 0;
-                        while latencies_us.len() < requests_per_connection {
-                            while next < frames.len() && in_flight.len() < depth {
-                                client.send_raw(&frames[next]).expect("send");
-                                in_flight.push_back(Instant::now());
-                                next += 1;
-                            }
-                            client.flush().expect("flush");
-                            let answers = client.recv_answers().expect("answers");
-                            let sent = in_flight.pop_front().expect("in flight");
-                            latencies_us.push(sent.elapsed().as_secs_f64() * 1e6);
-                            // Members sit at even probe slots; a false
-                            // negative here is a serving bug.
-                            assert_eq!(answers.len(), batch, "answer count mismatch");
-                            assert!(
-                                answers.iter().step_by(2).all(|&b| b),
-                                "member dropped over the wire"
-                            );
+                    let mut latencies_us = Vec::with_capacity(requests_per_connection);
+                    let mut in_flight: VecDeque<Instant> = VecDeque::with_capacity(depth);
+                    let mut next = 0;
+                    while latencies_us.len() < requests_per_connection {
+                        while next < frames.len() && in_flight.len() < depth {
+                            client.send_raw(&frames[next]).expect("send");
+                            in_flight.push_back(Instant::now());
+                            next += 1;
                         }
-                        latencies_us
-                    })
+                        client.flush().expect("flush");
+                        let answers = client.recv_answers().expect("answers");
+                        let sent = in_flight.pop_front().expect("in flight");
+                        latencies_us.push(sent.elapsed().as_secs_f64() * 1e6);
+                        // Members sit at even probe slots; a false
+                        // negative here is a serving bug.
+                        assert_eq!(answers.len(), batch, "answer count mismatch");
+                        assert!(
+                            answers.iter().step_by(2).all(|&b| b),
+                            "member dropped over the wire"
+                        );
+                    }
+                    latencies_us
                 })
-                .collect();
-            gate.wait();
-            let started = Instant::now();
-            let mut latencies: Vec<f64> = Vec::new();
-            for worker in workers {
-                latencies.extend(worker.join().expect("client thread"));
-            }
-            let elapsed = started.elapsed().as_secs_f64().max(1e-9);
-            let requests = connections * requests_per_connection;
-            rows.push(ServeRow {
-                connections,
-                requests,
-                qps: requests as f64 / elapsed,
-                keys_mops: (requests * batch) as f64 / elapsed / 1e6,
-                p50_us: percentile(&latencies, 50.0),
-                p99_us: percentile(&latencies, 99.0),
-                p999_us: percentile(&latencies, 99.9),
-            });
+            })
+            .collect();
+        gate.wait();
+        let started = Instant::now();
+        let mut latencies: Vec<f64> = Vec::new();
+        for worker in workers {
+            latencies.extend(worker.join().expect("client thread"));
         }
-        handle.shutdown();
-        model_runs.push(ModelRun { model, rows });
+        let elapsed = started.elapsed().as_secs_f64().max(1e-9);
+        let requests = connections * requests_per_connection;
+        rows.push(ServeRow {
+            connections,
+            requests,
+            qps: requests as f64 / elapsed,
+            keys_mops: (requests * batch) as f64 / elapsed / 1e6,
+            p50_us: percentile(&latencies, 50.0),
+            p99_us: percentile(&latencies, 99.0),
+            p999_us: percentile(&latencies, 99.9),
+        });
     }
+    handle.shutdown();
 
     ServeResult {
         keys,
         batch,
         requests_per_connection,
         depth,
-        models: model_runs,
+        rows,
     }
 }
 
@@ -328,45 +289,35 @@ mod tests {
     use super::*;
 
     #[test]
-    fn suite_runs_both_models_and_reports_three_connection_counts() {
-        let r = run_netserve(
-            5_000,
-            64,
-            20,
-            4,
-            &[1, 2, 4],
-            7,
-            &[ServeModel::Reactor, ServeModel::Threads],
-        );
-        assert_eq!(r.models.len(), 2);
-        assert_eq!(r.models[0].model, ServeModel::Reactor);
-        assert_eq!(r.rows().len(), 3);
-        for m in &r.models {
-            for row in &m.rows {
-                assert_eq!(row.requests, row.connections * 20);
-                assert!(row.qps > 0.0 && row.keys_mops > 0.0, "{row:?}");
-                assert!(row.p50_us > 0.0 && row.p99_us >= row.p50_us, "{row:?}");
-                assert!(row.p999_us >= row.p99_us, "{row:?}");
-            }
+    fn suite_runs_one_sweep_over_three_connection_counts() {
+        let r = run_netserve(5_000, 64, 20, 4, &[1, 2, 4], 7);
+        assert_eq!(r.rows.len(), 3);
+        for row in &r.rows {
+            assert_eq!(row.requests, row.connections * 20);
+            assert!(row.qps > 0.0 && row.keys_mops > 0.0, "{row:?}");
+            assert!(row.p50_us > 0.0 && row.p99_us >= row.p50_us, "{row:?}");
+            assert!(row.p999_us >= row.p99_us, "{row:?}");
         }
         assert!(r.best_qps() > 0.0);
 
         let json = r.to_json();
         assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert_eq!(json.matches("\"connections\":").count(), 3, "{json}");
         for key in [
             "\"suite\":\"serve\"",
+            "\"commit\":\"",
+            "\"nproc\":\"",
+            "\"rustc\":\"",
             "\"best_qps\":",
             "\"depth\":4",
-            "\"model\":\"reactor\"",
             "\"rows\":[",
             "\"connections\":4",
             "\"p99_us\":",
             "\"p999_us\":",
-            "\"models\":[",
-            "\"model\":\"threads\"",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
+        assert!(!json.contains("\"model"), "a serving-model key in {json}");
         assert!(!json.contains(",}"), "trailing comma in {json}");
         assert!(r.table().render().contains("p999 us"));
     }

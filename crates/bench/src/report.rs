@@ -98,6 +98,38 @@ pub fn bytes(n: usize) -> String {
     habf_util::stats::human_bytes(n)
 }
 
+/// Where a bench artifact was measured: the commit (with `-dirty` when
+/// tracked files differ from it), `nproc` and the rustc version, so
+/// figures from different code or machines are never read as one.
+#[must_use]
+pub(crate) fn provenance() -> [(&'static str, String); 3] {
+    fn command_line(cmd: &str, args: &[&str]) -> Option<String> {
+        let out = std::process::Command::new(cmd).args(args).output().ok()?;
+        out.status
+            .success()
+            .then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
+    }
+    let commit = command_line("git", &["rev-parse", "HEAD"]).map_or_else(
+        || "unknown".to_string(),
+        |sha| {
+            let dirty = command_line("git", &["status", "--porcelain", "--untracked-files=no"])
+                .is_some_and(|s| !s.is_empty());
+            if dirty {
+                format!("{sha}-dirty")
+            } else {
+                sha
+            }
+        },
+    );
+    let nproc = std::thread::available_parallelism().map_or(1, usize::from);
+    let rustc = command_line("rustc", &["--version"]).unwrap_or_else(|| "unknown".into());
+    [
+        ("commit", commit),
+        ("nproc", nproc.to_string()),
+        ("rustc", rustc),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

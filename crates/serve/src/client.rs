@@ -13,6 +13,24 @@ pub struct Client {
     stream: TcpStream,
 }
 
+/// Refuses a tenant name or key longer than a `len u16` field carries
+/// before any byte of the request is written, so the connection stays
+/// usable.
+fn check_fields<'a>(
+    tenant: &str,
+    keys: impl IntoIterator<Item = &'a [u8]>,
+) -> Result<(), WireError> {
+    if tenant.len() > protocol::MAX_FIELD {
+        return Err(WireError::BadPayload(
+            "tenant name longer than 65,535 bytes",
+        ));
+    }
+    if keys.into_iter().any(|key| key.len() > protocol::MAX_FIELD) {
+        return Err(WireError::BadPayload("key longer than 65,535 bytes"));
+    }
+    Ok(())
+}
+
 impl Client {
     /// Connects and applies a read timeout so a dead server cannot
     /// wedge the caller.
@@ -70,12 +88,15 @@ impl Client {
     ///
     /// # Errors
     /// Wire errors; [`WireError::Server`] carries typed server errors
-    /// (unknown tenant, malformed frame …).
+    /// (unknown tenant, malformed frame …). A tenant name or key longer
+    /// than 65,535 bytes is [`WireError::BadPayload`], and nothing is
+    /// sent.
     pub fn query(
         &mut self,
         tenant: &str,
         keys: &[impl AsRef<[u8]>],
     ) -> Result<Vec<bool>, WireError> {
+        check_fields(tenant, keys.iter().map(AsRef::as_ref))?;
         let reply = self.call(
             frame_type::QUERY,
             &protocol::encode_query(tenant, keys),
@@ -101,6 +122,7 @@ impl Client {
         keys: &[impl AsRef<[u8]>],
         chunk: usize,
     ) -> Result<Vec<bool>, WireError> {
+        check_fields(tenant, keys.iter().map(AsRef::as_ref))?;
         let chunk = chunk.max(1);
         for batch in keys.chunks(chunk) {
             protocol::write_frame(
@@ -163,6 +185,7 @@ impl Client {
         tenant: &str,
         events: &[(impl AsRef<[u8]>, f64)],
     ) -> Result<u32, WireError> {
+        check_fields(tenant, events.iter().map(|(key, _)| key.as_ref()))?;
         let reply = self.call(
             frame_type::FEEDBACK,
             &protocol::encode_feedback(tenant, events),
@@ -181,6 +204,7 @@ impl Client {
     /// # Errors
     /// As for [`Client::query`].
     pub fn stats(&mut self, tenant: &str) -> Result<String, WireError> {
+        check_fields(tenant, [])?;
         let reply = self.call(
             frame_type::STATS,
             &protocol::encode_stats(tenant),
@@ -202,6 +226,7 @@ impl Client {
         seed: u64,
         max_hints: u32,
     ) -> Result<(u32, u64), WireError> {
+        check_fields(tenant, [])?;
         let reply = self.call(
             frame_type::REBUILD,
             &protocol::encode_rebuild(tenant, seed, max_hints),
@@ -226,6 +251,7 @@ impl Client {
         tenant: &str,
         keys: &[impl AsRef<[u8]>],
     ) -> Result<(u32, u32, f64), WireError> {
+        check_fields(tenant, keys.iter().map(AsRef::as_ref))?;
         let reply = self.call(
             frame_type::INSERT,
             &protocol::encode_insert(tenant, keys),

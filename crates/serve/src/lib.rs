@@ -29,18 +29,17 @@
 //! handle.shutdown();
 //! ```
 //!
-//! Two serving models share the protocol and the tenant table
-//! ([`server::ServeModel`]): the default **reactor** — N readiness-driven
-//! event loops over nonblocking sockets with streaming frame decode,
-//! vectored writes, and cross-connection query coalescing — and the
-//! simpler thread-per-connection **threads** model kept for A/B
-//! comparison and non-unix targets.
+//! The server runs one serving model on unix targets: N
+//! readiness-driven event loops over nonblocking sockets with streaming
+//! frame decode, vectored writes, and cross-connection query
+//! coalescing. On other targets [`Server::bind`] returns
+//! `io::ErrorKind::Unsupported`.
 //!
 //! The protocol's decoding discipline mirrors the persistence layer:
 //! every malformed frame — truncation, bad magic, oversized length,
 //! byte soup — produces a typed error frame or a clean close, never a
-//! panic or a wedged connection (reads are bounded by a timeout in the
-//! threads model and by the reactor's idle sweep).
+//! panic or a wedged connection (the reactor's idle sweep closes a
+//! connection silent past its read timeout).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -53,4 +52,4 @@ pub mod server;
 
 pub use client::Client;
 pub use protocol::{Frame, Request, WireError};
-pub use server::{ServeModel, Server, ServerConfig, ServerHandle, TenantTable};
+pub use server::{Server, ServerConfig, ServerHandle, TenantTable};

@@ -47,14 +47,16 @@
 //!
 //! ## Streaming decode
 //!
-//! [`read_frame`] blocks until a whole frame arrives — fine for the
-//! thread-per-connection model, a thread hostage for a reactor. The
-//! [`FrameAssembler`] is the incremental face of the same codec: feed
-//! it whatever bytes the socket had, pop complete frames, and a partial
-//! frame simply stays buffered until more bytes arrive. Both paths
-//! apply identical header validation and the same pre-allocation cap.
+//! The server's reactor decodes with a [`FrameAssembler`]: feed it
+//! whatever bytes the socket had, pop complete frames, and a partial
+//! frame simply stays buffered until more bytes arrive. [`read_frame`]
+//! is the blocking face of the same codec for the [`crate::Client`]: it
+//! reads exactly one frame and nothing past it. Both validate a header
+//! with one function, so magic, version and the [`MAX_PAYLOAD`] cap are
+//! checked once, the same way, before any payload byte is buffered.
 
 use std::io::{Read, Write};
+use std::ops::Range;
 
 /// First two bytes of every frame.
 pub const MAGIC: [u8; 2] = *b"HF";
@@ -68,6 +70,9 @@ pub const HEADER_LEN: usize = 8;
 /// Hard payload cap (16 MiB): a length field above this is a typed
 /// error, not an allocation — byte soup must never size a buffer.
 pub const MAX_PAYLOAD: usize = 16 << 20;
+
+/// Longest tenant name or key a `len u16` field can carry.
+pub(crate) const MAX_FIELD: usize = u16::MAX as usize;
 
 /// Frame type bytes. Requests are `0x0*`; replies set the high bit.
 pub mod frame_type {
@@ -213,22 +218,51 @@ pub struct Frame {
     pub payload: Vec<u8>,
 }
 
-/// Writes one frame: header + payload.
-///
-/// # Errors
-/// Propagates socket write errors; an over-cap payload is an error
-/// here too, so a buggy caller cannot emit a frame no peer will accept.
-pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> Result<(), WireError> {
+/// The header of a frame of type `kind` carrying `len` payload bytes.
+/// Every frame writer builds its header here.
+fn header_bytes(kind: u8, len: u32) -> [u8; HEADER_LEN] {
+    let [m0, m1] = MAGIC;
+    let [l0, l1, l2, l3] = len.to_le_bytes();
+    [m0, m1, VERSION, kind, l0, l1, l2, l3]
+}
+
+/// [`header_bytes`] for `payload`, refused past [`MAX_PAYLOAD`] so a buggy
+/// caller cannot emit a frame no peer will accept.
+fn checked_header(kind: u8, payload: &[u8]) -> Result<[u8; HEADER_LEN], WireError> {
     // Saturate the reported length: a > 4 GiB payload must not wrap the
     // u32 (it used to report `len % 2^32` bytes in the error).
     let len = u32::try_from(payload.len()).unwrap_or(u32::MAX);
     if payload.len() > MAX_PAYLOAD {
         return Err(WireError::Oversized(len));
     }
-    let [m0, m1] = MAGIC;
-    let [l0, l1, l2, l3] = len.to_le_bytes();
-    let header: [u8; HEADER_LEN] = [m0, m1, VERSION, kind, l0, l1, l2, l3];
-    w.write_all(&header)?;
+    Ok(header_bytes(kind, len))
+}
+
+/// Checks a received header's magic, version and length cap, and
+/// returns its frame type and payload length. The one header check of
+/// [`read_frame`] and [`FrameAssembler::next_frame`].
+fn check_header(header: [u8; HEADER_LEN]) -> Result<(u8, usize), WireError> {
+    let [m0, m1, version, kind, l0, l1, l2, l3] = header;
+    if [m0, m1] != MAGIC {
+        return Err(WireError::BadMagic([m0, m1]));
+    }
+    if version != VERSION {
+        return Err(WireError::BadVersion(version));
+    }
+    let len = u32::from_le_bytes([l0, l1, l2, l3]);
+    match usize::try_from(len) {
+        Ok(n) if n <= MAX_PAYLOAD => Ok((kind, n)),
+        _ => Err(WireError::Oversized(len)),
+    }
+}
+
+/// Writes one frame: header + payload.
+///
+/// # Errors
+/// Propagates socket write errors; an over-cap payload is an error
+/// here too, so a buggy caller cannot emit a frame no peer will accept.
+pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> Result<(), WireError> {
+    w.write_all(&checked_header(kind, payload)?)?;
     w.write_all(payload)?;
     Ok(())
 }
@@ -259,13 +293,19 @@ fn le_array<const N: usize>(bytes: &[u8]) -> [u8; N] {
     out
 }
 
-/// Reads one frame. `Ok(None)` is a clean close: EOF exactly at a frame
-/// boundary. Any other short read is [`WireError::Truncated`].
+/// Payload bytes [`read_frame`] reserves before they arrive; a longer
+/// payload grows its buffer as its bytes come in.
+const READ_RESERVE: usize = 64 * 1024;
+
+/// Reads one frame, and no byte past it. `Ok(None)` is a clean close:
+/// EOF exactly at a frame boundary. Any other short read is
+/// [`WireError::Truncated`].
 ///
 /// # Errors
 /// Typed errors for every way untrusted bytes can fail to be a frame;
-/// no input panics and — because the length field is capped before any
-/// allocation — no input sizes a buffer.
+/// no input panics, and the length field is capped before any payload
+/// is read. The buffer grows with the bytes that arrive, so a header
+/// alone never sizes an allocation past one read reserve.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, WireError> {
     let mut header = [0u8; HEADER_LEN];
     match read_full(r, &mut header)? {
@@ -273,20 +313,10 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, WireError> {
         HEADER_LEN => {}
         _ => return Err(WireError::Truncated),
     }
-    let [m0, m1, version, kind, l0, l1, l2, l3] = header;
-    if [m0, m1] != MAGIC {
-        return Err(WireError::BadMagic([m0, m1]));
-    }
-    if version != VERSION {
-        return Err(WireError::BadVersion(version));
-    }
-    let len = u32::from_le_bytes([l0, l1, l2, l3]);
-    let len_usize = usize::try_from(len).map_err(|_| WireError::Oversized(len))?;
-    if len_usize > MAX_PAYLOAD {
-        return Err(WireError::Oversized(len));
-    }
-    let mut payload = vec![0u8; len_usize];
-    if read_full(r, &mut payload)? != len_usize {
+    let (kind, len) = check_header(header)?;
+    let mut payload = Vec::with_capacity(len.min(READ_RESERVE));
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() != len {
         return Err(WireError::Truncated);
     }
     Ok(Some(Frame { kind, payload }))
@@ -354,40 +384,19 @@ impl FrameAssembler {
     /// the stream is desynchronized and the connection should close
     /// (remaining buffered bytes are meaningless).
     pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
-        if self.buffered() < HEADER_LEN {
+        let pending = self.buf.get(self.start..).unwrap_or_default();
+        let Some(header) = pending.get(..HEADER_LEN) else {
             return Ok(None);
-        }
-        let header_end = self
-            .start
-            .checked_add(HEADER_LEN)
-            .ok_or(WireError::Truncated)?;
-        let header = self
-            .buf
-            .get(self.start..header_end)
-            .ok_or(WireError::Truncated)?;
-        let [m0, m1, version, kind, l0, l1, l2, l3] = le_array(header);
-        if [m0, m1] != MAGIC {
-            return Err(WireError::BadMagic([m0, m1]));
-        }
-        if version != VERSION {
-            return Err(WireError::BadVersion(version));
-        }
-        let len = u32::from_le_bytes([l0, l1, l2, l3]);
-        let len_usize = usize::try_from(len).map_err(|_| WireError::Oversized(len))?;
-        if len_usize > MAX_PAYLOAD {
-            return Err(WireError::Oversized(len));
-        }
-        let frame_end = header_end
-            .checked_add(len_usize)
-            .ok_or(WireError::Truncated)?;
-        let Some(payload) = self.buf.get(header_end..frame_end) else {
+        };
+        let (kind, len) = check_header(le_array(header))?;
+        let Some(payload) = pending.get(HEADER_LEN..).and_then(|body| body.get(..len)) else {
             return Ok(None); // partial payload: wait for more bytes
         };
         let frame = Frame {
             kind,
             payload: payload.to_vec(),
         };
-        self.start = frame_end;
+        self.start = self.start.saturating_add(HEADER_LEN).saturating_add(len);
         if self.start == self.buf.len() {
             self.buf.clear();
             self.start = 0;
@@ -403,35 +412,20 @@ impl FrameAssembler {
 /// [`WireError::Oversized`] for an over-cap payload; nothing is
 /// appended on error.
 pub fn append_frame(out: &mut Vec<u8>, kind: u8, payload: &[u8]) -> Result<(), WireError> {
-    let len = u32::try_from(payload.len()).unwrap_or(u32::MAX);
-    if payload.len() > MAX_PAYLOAD {
-        return Err(WireError::Oversized(len));
-    }
-    let [m0, m1] = MAGIC;
-    let [l0, l1, l2, l3] = len.to_le_bytes();
-    out.extend_from_slice(&[m0, m1, VERSION, kind, l0, l1, l2, l3]);
+    out.extend_from_slice(&checked_header(kind, payload)?);
     out.extend_from_slice(payload);
     Ok(())
 }
 
 /// Appends a complete `ANSWERS` frame — header and count + bitset
 /// payload — straight into `out`, with no intermediate payload
-/// allocation. Infallible: an answer set decoded from an in-cap QUERY
-/// frame packs into well under [`MAX_PAYLOAD`] bytes.
+/// allocation. Infallible: an in-cap QUERY frame carries at most
+/// [`MAX_PAYLOAD`] / 2 keys, whose answers pack into far fewer bytes.
 pub fn append_answers_frame(out: &mut Vec<u8>, answers: &[bool]) {
     let payload_len = 4 + answers.len().div_ceil(8);
-    let [m0, m1] = MAGIC;
     out.reserve(HEADER_LEN + payload_len);
-    out.extend_from_slice(&[m0, m1, VERSION, frame_type::ANSWERS]);
-    out.extend_from_slice(&(payload_len as u32).to_le_bytes());
-    out.extend_from_slice(&(answers.len() as u32).to_le_bytes());
-    let bits_start = out.len();
-    out.resize(bits_start + answers.len().div_ceil(8), 0);
-    for (i, &hit) in answers.iter().enumerate() {
-        if hit {
-            out[bits_start + i / 8] |= 1 << (i % 8);
-        }
-    }
+    out.extend_from_slice(&header_bytes(frame_type::ANSWERS, payload_len as u32));
+    put_answers(out, answers);
 }
 
 /// A bounds-checked little-endian payload reader. Every `take_*` is a
@@ -528,6 +522,24 @@ fn take_tenant(c: &mut Cursor<'_>) -> Result<String, WireError> {
     String::from_utf8(raw.to_vec()).map_err(|_| WireError::BadPayload("tenant name not UTF-8"))
 }
 
+/// Decodes a `QUERY` or `INSERT` body into its tenant and the byte range
+/// of each key within `payload`, copying no key: [`Request::parse`]
+/// copies the ranges out, the reactor's coalescer probes them in place.
+pub(crate) fn decode_keys(payload: &[u8]) -> Result<(String, Vec<Range<usize>>), WireError> {
+    let mut c = Cursor::new(payload);
+    let tenant = take_tenant(&mut c)?;
+    let count = c.take_count()?;
+    let mut keys = Vec::with_capacity(count.min(65_536));
+    for _ in 0..count {
+        let len = usize::from(c.take_u16()?);
+        let start = c.pos();
+        c.take(len)?;
+        keys.push(start..c.pos());
+    }
+    c.finish()?;
+    Ok((tenant, keys))
+}
+
 /// A fully decoded request frame.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Request {
@@ -583,15 +595,17 @@ impl Request {
         let mut c = Cursor::new(&frame.payload);
         match frame.kind {
             frame_type::PING => Ok(Self::Ping(frame.payload.clone())),
-            frame_type::QUERY => {
-                let tenant = take_tenant(&mut c)?;
-                let count = c.take_count()?;
-                let mut keys = Vec::with_capacity(count.min(65_536));
-                for _ in 0..count {
-                    keys.push(c.take_bytes()?.to_vec());
-                }
-                c.finish()?;
-                Ok(Self::Query { tenant, keys })
+            frame_type::QUERY | frame_type::INSERT => {
+                let (tenant, ranges) = decode_keys(&frame.payload)?;
+                let keys = ranges
+                    .into_iter()
+                    .map(|key| frame.payload.get(key).unwrap_or_default().to_vec())
+                    .collect();
+                Ok(if frame.kind == frame_type::QUERY {
+                    Self::Query { tenant, keys }
+                } else {
+                    Self::Insert { tenant, keys }
+                })
             }
             frame_type::FEEDBACK => {
                 let tenant = take_tenant(&mut c)?;
@@ -624,16 +638,6 @@ impl Request {
             frame_type::SHUTDOWN => {
                 c.finish()?;
                 Ok(Self::Shutdown)
-            }
-            frame_type::INSERT => {
-                let tenant = take_tenant(&mut c)?;
-                let count = c.take_count()?;
-                let mut keys = Vec::with_capacity(count.min(65_536));
-                for _ in 0..count {
-                    keys.push(c.take_bytes()?.to_vec());
-                }
-                c.finish()?;
-                Ok(Self::Insert { tenant, keys })
             }
             other => Err(WireError::Server {
                 code: error_code::UNKNOWN_TYPE,
@@ -716,23 +720,30 @@ pub fn encode_rebuild(tenant: &str, seed: u64, max_hints: u32) -> Vec<u8> {
     out
 }
 
+/// Appends a `len u16` + bytes field. The caller checks the length:
+/// [`crate::Client`] refuses a field over [`MAX_FIELD`] before it
+/// encodes anything.
 fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    debug_assert!(bytes.len() <= u16::MAX as usize, "field too long for u16");
+    debug_assert!(bytes.len() <= MAX_FIELD, "field too long for u16");
     out.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
     out.extend_from_slice(bytes);
+}
+
+/// Appends answers as count + LSB-first bitset (the `ANSWERS` payload).
+fn put_answers(out: &mut Vec<u8>, answers: &[bool]) {
+    out.extend_from_slice(&(answers.len() as u32).to_le_bytes());
+    out.extend(answers.chunks(8).map(|byte| {
+        byte.iter()
+            .rev()
+            .fold(0u8, |bits, &hit| bits << 1 | u8::from(hit))
+    }));
 }
 
 /// Packs answers as count + LSB-first bitset (the `ANSWERS` payload).
 #[must_use]
 pub fn encode_answers(answers: &[bool]) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + answers.len().div_ceil(8));
-    out.extend_from_slice(&(answers.len() as u32).to_le_bytes());
-    out.resize(4 + answers.len().div_ceil(8), 0);
-    for (i, &hit) in answers.iter().enumerate() {
-        if hit {
-            out[4 + i / 8] |= 1 << (i % 8);
-        }
-    }
+    put_answers(&mut out, answers);
     out
 }
 
@@ -839,33 +850,43 @@ mod tests {
     fn header_damage_is_typed() {
         let mut wire = Vec::new();
         write_frame(&mut wire, frame_type::PING, b"x").expect("write");
+        let mut bad_magic = wire.clone();
+        bad_magic[0] = b'Z';
+        let mut bad_version = wire.clone();
+        bad_version[2] = 9;
+        let mut oversized = wire.clone();
+        oversized[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
 
-        let mut bad = wire.clone();
-        bad[0] = b'Z';
-        assert!(matches!(
-            read_frame(&mut &bad[..]),
-            Err(WireError::BadMagic(_))
-        ));
-
-        let mut bad = wire.clone();
-        bad[2] = 9;
-        assert!(matches!(
-            read_frame(&mut &bad[..]),
-            Err(WireError::BadVersion(9))
-        ));
-
-        let mut bad = wire.clone();
-        bad[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(
-            read_frame(&mut &bad[..]),
-            Err(WireError::Oversized(_))
-        ));
-
+        let mut cases = vec![
+            (bad_magic, WireError::BadMagic(*b"ZF")),
+            (bad_version, WireError::BadVersion(9)),
+            (oversized, WireError::Oversized(u32::MAX)),
+        ];
         for cut in 1..wire.len() {
-            assert!(
-                matches!(read_frame(&mut &wire[..cut]), Err(WireError::Truncated)),
-                "cut at {cut}"
-            );
+            cases.push((wire[..cut].to_vec(), WireError::Truncated));
+        }
+        // Both decoders meet every damaged input: the blocking
+        // `read_frame` and the streaming assembler the reactor feeds.
+        for (bytes, want) in cases {
+            let want = format!("{want:?}");
+            let blocking = read_frame(&mut &bytes[..]).expect_err("damaged input read");
+            assert_eq!(format!("{blocking:?}"), want, "read_frame on {bytes:?}");
+
+            let mut asm = FrameAssembler::new();
+            asm.feed(&bytes);
+            let streaming = match asm.next_frame() {
+                // EOF after a partial frame is the reactor's truncation.
+                Ok(None) => {
+                    assert!(
+                        asm.mid_frame(),
+                        "truncation {bytes:?} left no partial frame"
+                    );
+                    WireError::Truncated
+                }
+                Ok(Some(frame)) => panic!("assembler popped {frame:?} from {bytes:?}"),
+                Err(e) => e,
+            };
+            assert_eq!(format!("{streaming:?}"), want, "assembler on {bytes:?}");
         }
     }
 

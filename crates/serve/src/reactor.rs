@@ -1,6 +1,6 @@
-//! The reactor serving model: N readiness-driven worker event loops
-//! over nonblocking sockets (`habf_util::poll` — raw epoll on Linux,
-//! `poll(2)` elsewhere).
+//! The serving model: N readiness-driven worker event loops over
+//! nonblocking sockets (`habf_util::poll` — raw epoll on Linux,
+//! `poll(2)` on other unix targets).
 //!
 //! ## Architecture
 //!
@@ -33,11 +33,11 @@
 //!    connection; `WouldBlock` parks the remainder under write
 //!    interest.
 //!
-//! An idle sweep replaces the blocking model's per-read timeout: a
-//! connection silent past `read_timeout` gets one typed error frame
-//! (mid-frame silence is a truncation) and a close. Reply ordering is
-//! preserved per connection because coalesced slots resolve within the
-//! same wakeup that queued them; coalescing never reorders effects
+//! An idle sweep bounds silence without blocking reads: a connection
+//! silent past `read_timeout` gets one typed error frame (mid-frame
+//! silence is a truncation) and a close. Reply ordering is preserved
+//! per connection because coalesced slots resolve within the same
+//! wakeup that queued them; coalescing never reorders effects
 //! observably — inserts and rebuilds handled in the same wakeup only
 //! make a merged probe's answers fresher, and the filters never drop
 //! members, so the zero-false-negative contract holds.
@@ -45,6 +45,7 @@
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::ops::Range;
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -192,8 +193,8 @@ struct PendingBatch {
     store: Arc<TenantStore>,
     /// The query frames' payloads, kept alive so keys borrow in place.
     payloads: Vec<Vec<u8>>,
-    /// Every key as `(payload index, start, len)`, in merge order.
-    keys: Vec<(usize, usize, usize)>,
+    /// Every key as `(payload index, byte range)`, in merge order.
+    keys: Vec<(usize, Range<usize>)>,
     /// Filled by `resolve_batches`.
     answers: Vec<bool>,
 }
@@ -301,28 +302,6 @@ fn recycle(pool: &mut Vec<Vec<u8>>, mut chunk: Vec<u8>) {
         chunk.clear();
         pool.push(chunk);
     }
-}
-
-/// Tenant name and key locations of a `QUERY` payload, decoded without
-/// copying any key (ranges index into the payload buffer). Mirrors
-/// `Request::parse`'s QUERY arm byte for byte.
-fn decode_query_ranges(payload: &[u8]) -> Result<(String, Vec<(usize, usize)>), WireError> {
-    let mut c = protocol::Cursor::new(payload);
-    let tenant_raw = c.take_bytes()?;
-    if tenant_raw.is_empty() {
-        return Err(WireError::BadPayload("empty tenant name"));
-    }
-    let tenant = core::str::from_utf8(tenant_raw)
-        .map_err(|_| WireError::BadPayload("tenant name not UTF-8"))?
-        .to_string();
-    let count = c.take_count()?;
-    let mut keys = Vec::with_capacity(count.min(65_536));
-    for _ in 0..count {
-        let key = c.take_bytes()?;
-        keys.push((c.pos() - key.len(), key.len()));
-    }
-    c.finish()?;
-    Ok((tenant, keys))
 }
 
 /// What one bounded read produced, beyond bytes.
@@ -571,33 +550,31 @@ impl Worker {
         }
     }
 
-    /// Routes one decoded frame: queries to the coalescer, shutdown to
-    /// its gate, everything else straight to the shared handler.
+    /// Routes one decoded frame: queries to the coalescer, everything
+    /// else to the request handler. A served `SHUTDOWN` stops the whole
+    /// reactor after this connection's replies flush.
     fn dispatch(&mut self, slot: usize, frame: Frame) {
-        match frame.kind {
-            frame_type::QUERY => self.queue_query(slot, frame.payload),
-            frame_type::SHUTDOWN => self.queue_shutdown(slot, &frame),
-            _ => {
-                let reply = server::handle_frame(&frame, &self.shared.tenants);
-                self.push_ready(slot, reply);
+        if frame.kind == frame_type::QUERY {
+            self.queue_query(slot, frame.payload);
+            return;
+        }
+        let reply = server::handle_frame(&frame, &self.shared.tenants, self.shared.allow_shutdown);
+        if reply.kind == frame_type::SHUTDOWN_OK {
+            self.pending_shutdown = true;
+            if let Some(conn) = self.conn_mut(slot) {
+                conn.closing = true;
             }
         }
+        self.push_ready(slot, reply);
     }
 
     /// Merges a `QUERY` into this wakeup's per-tenant batch and leaves
     /// an ordered reply slot pointing at its answer range.
     fn queue_query(&mut self, slot: usize, payload: Vec<u8>) {
-        let (tenant, ranges) = match decode_query_ranges(&payload) {
+        let (tenant, ranges) = match protocol::decode_keys(&payload) {
             Ok(decoded) => decoded,
-            Err(e @ WireError::Server { .. }) => {
-                self.push_ready(slot, server::error_frame(e.code(), &e.to_string()));
-                return;
-            }
             Err(e) => {
-                self.push_ready(
-                    slot,
-                    server::error_frame(protocol::error_code::BAD_FRAME, &e.to_string()),
-                );
+                self.push_ready(slot, server::error_frame(e.code(), &e.to_string()));
                 return;
             }
         };
@@ -629,54 +606,17 @@ impl Worker {
         };
         let payload_idx = pending.payloads.len();
         let offset = pending.keys.len();
+        let count = ranges.len();
         pending
             .keys
-            .extend(ranges.iter().map(|&(start, len)| (payload_idx, start, len)));
+            .extend(ranges.into_iter().map(|key| (payload_idx, key)));
         pending.payloads.push(payload);
         if let Some(conn) = self.conn_mut(slot) {
             conn.replies.push(Slot::Query {
                 batch,
                 offset,
-                count: ranges.len(),
+                count,
             });
-        }
-    }
-
-    /// The `SHUTDOWN` gate, mirroring the threads model: opt-in only,
-    /// empty payload only; a served shutdown stops the whole reactor
-    /// after this connection's replies flush.
-    fn queue_shutdown(&mut self, slot: usize, frame: &Frame) {
-        let (reply, stopping) = if self.shared.allow_shutdown && frame.payload.is_empty() {
-            (
-                Frame {
-                    kind: frame_type::SHUTDOWN_OK,
-                    payload: Vec::new(),
-                },
-                true,
-            )
-        } else if !self.shared.allow_shutdown {
-            (
-                server::error_frame(
-                    protocol::error_code::SHUTDOWN_REFUSED,
-                    "server does not allow remote shutdown",
-                ),
-                false,
-            )
-        } else {
-            (
-                server::error_frame(
-                    protocol::error_code::BAD_FRAME,
-                    "shutdown payload must be empty",
-                ),
-                false,
-            )
-        };
-        self.push_ready(slot, reply);
-        if stopping {
-            self.pending_shutdown = true;
-            if let Some(conn) = self.conn_mut(slot) {
-                conn.closing = true;
-            }
         }
     }
 
@@ -704,11 +644,11 @@ impl Worker {
             let keys: Vec<&[u8]> = pending
                 .keys
                 .iter()
-                .map(|&(p, start, len)| {
+                .map(|(p, key)| {
                     pending
                         .payloads
-                        .get(p)
-                        .and_then(|payload| payload.get(start..start + len))
+                        .get(*p)
+                        .and_then(|payload| payload.get(key.clone()))
                         .unwrap_or(&[])
                 })
                 .collect();
@@ -820,9 +760,8 @@ impl Worker {
 
     /// Applies `read_timeout` without blocking reads: a connection
     /// silent past the deadline gets one typed error (silence mid-frame
-    /// is a truncation, same as the blocking model's read timeout) and
-    /// closes; a closing connection that cannot flush within a further
-    /// deadline is dropped outright.
+    /// is a truncation) and closes; a closing connection that cannot
+    /// flush within a further deadline is dropped outright.
     fn sweep_idle(&mut self) {
         let timeout = self.shared.read_timeout;
         let now = Instant::now();

@@ -1,29 +1,23 @@
 //! The server: a TCP front end routing protocol frames onto per-tenant
-//! [`TenantStore`]s, under one of two serving models
-//! ([`ServerConfig::model`]):
+//! [`TenantStore`]s. One accept thread feeds N readiness-driven worker
+//! event loops (see `reactor.rs`): epoll'd nonblocking sockets,
+//! streaming frame decode, vectored writes, and cross-connection query
+//! coalescing. It runs on unix targets only; elsewhere [`Server::bind`]
+//! returns [`std::io::ErrorKind::Unsupported`].
 //!
-//! * [`ServeModel::Reactor`] (default) — one accept thread feeding N
-//!   readiness-driven worker event loops (see `reactor.rs`): epoll'd
-//!   nonblocking sockets, streaming frame decode, vectored writes, and
-//!   cross-connection query coalescing.
-//! * [`ServeModel::Threads`] — the original thread-per-connection
-//!   model, kept for A/B comparison and non-Unix fallback.
-//!
-//! Both models share [`ServerConfig::max_connections`]: over the limit,
-//! a connection is accepted just long enough to send a typed `BUSY`
-//! error frame (carrying a retry-after-ms backoff hint) and close — a
-//! bounded queue that fails loudly instead of stalling the listener.
-//! Handlers share the [`TenantTable`] and never take a lock while
-//! probing: queries clone the tenant's filter `Arc` snapshot and run
-//! through the batch pipeline outside all locks, so a rebuild
-//! hot-swapping a tenant mid-batch leaves in-flight answers on the old
-//! generation.
+//! Past [`ServerConfig::max_connections`], a connection is accepted
+//! just long enough to send a typed `BUSY` error frame (carrying a
+//! retry-after-ms backoff hint) and close — a bounded queue that fails
+//! loudly instead of stalling the listener. Workers share the
+//! [`TenantTable`] and never take a lock while probing: queries clone
+//! the tenant's filter `Arc` snapshot and run through the batch
+//! pipeline outside all locks, so a rebuild hot-swapping a tenant
+//! mid-batch leaves in-flight answers on the old generation.
 //!
 //! A client may pipeline: frames are answered in order, one reply per
 //! request, so a burst of `QUERY` frames behaves as one long stream.
 
 use std::collections::HashMap;
-use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
@@ -31,43 +25,7 @@ use std::time::Duration;
 
 use habf_core::tenant::TenantStore;
 
-use crate::protocol::{self, error_code, frame_type, Frame, Request, WireError};
-
-/// Which serving model the accept loop hands connections to.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ServeModel {
-    /// Readiness-driven worker event loops (epoll / `poll(2)` via
-    /// `habf_util::poll`): the default, and the model that scales past
-    /// a handful of connections. Falls back to [`ServeModel::Threads`]
-    /// on non-Unix platforms.
-    #[default]
-    Reactor,
-    /// One blocking thread per connection — the A/B baseline.
-    Threads,
-}
-
-impl std::str::FromStr for ServeModel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "reactor" => Ok(Self::Reactor),
-            "threads" => Ok(Self::Threads),
-            other => Err(format!("unknown serve model {other:?} (reactor|threads)")),
-        }
-    }
-}
-
-impl ServeModel {
-    /// The CLI-facing name (`reactor` / `threads`).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Reactor => "reactor",
-            Self::Threads => "threads",
-        }
-    }
-}
+use crate::protocol::{self, error_code, frame_type, Frame, Request};
 
 /// Tuning knobs for [`Server::bind`].
 #[derive(Clone, Debug)]
@@ -75,19 +33,17 @@ pub struct ServerConfig {
     /// Concurrent connections served; further connections get a typed
     /// `BUSY` error frame and a close.
     pub max_connections: usize,
-    /// Per-read socket timeout: a peer that stops mid-frame cannot
-    /// wedge its connection thread (threads model) or hold its buffered
-    /// partial frame (reactor idle sweep) forever.
+    /// How long a connection may stay silent: past it, the reactor's
+    /// idle sweep answers one typed error frame and closes, so a peer
+    /// that stops mid-frame cannot hold its buffered partial frame
+    /// forever.
     pub read_timeout: Duration,
     /// Whether a `SHUTDOWN` frame stops the server. Off by default —
     /// any client could stop the server otherwise; the CLI turns it on
     /// for operator-driven and CI-scripted servers.
     pub allow_shutdown: bool,
-    /// Which serving model runs the connections.
-    pub model: ServeModel,
     /// Reactor worker event loops; `0` sizes to the machine
-    /// (`available_parallelism`, capped at 8). Ignored by the threads
-    /// model.
+    /// (`available_parallelism`, capped at 8).
     pub workers: usize,
     /// The retry-after-ms backoff hint a `BUSY` refusal carries.
     pub busy_retry_ms: u8,
@@ -99,15 +55,14 @@ impl Default for ServerConfig {
             max_connections: 64,
             read_timeout: Duration::from_secs(30),
             allow_shutdown: false,
-            model: ServeModel::default(),
             workers: 0,
             busy_retry_ms: 25,
         }
     }
 }
 
-/// The tenant routing table: name → serving state, shared across every
-/// connection thread.
+/// The tenant routing table: name → serving state, shared by every
+/// reactor worker.
 #[derive(Default)]
 pub struct TenantTable {
     map: RwLock<HashMap<String, Arc<TenantStore>>>,
@@ -183,9 +138,9 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Stops the accept loop and joins the server thread. In-flight
-    /// connection threads finish their current frame and exit on the
-    /// next read (their sockets are not torn down mid-reply).
+    /// Stops the server and joins its thread. Each worker leaves its
+    /// event loop at its next wakeup, makes one best-effort flush of the
+    /// replies it has queued, and closes its connections.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::Release);
         // The accept call is blocking; a throwaway connection wakes it
@@ -202,12 +157,16 @@ impl Server {
     /// pick a port (see [`Server::local_addr`]).
     ///
     /// # Errors
-    /// Propagates the bind failure.
+    /// Propagates the bind failure; [`std::io::ErrorKind::Unsupported`]
+    /// on a non-unix target, where the reactor cannot run.
     pub fn bind(
         addr: impl ToSocketAddrs,
         tenants: Arc<TenantTable>,
         config: ServerConfig,
     ) -> std::io::Result<Self> {
+        if cfg!(not(unix)) {
+            return Err(std::io::ErrorKind::Unsupported.into());
+        }
         let listener = TcpListener::bind(addr)?;
         Ok(Self {
             listener,
@@ -228,66 +187,16 @@ impl Server {
 
     /// Runs the server on this thread until the stop flag is raised
     /// (see [`Server::spawn`], or a permitted `SHUTDOWN` frame) or the
-    /// listener dies. Dispatches on [`ServerConfig::model`]; the
-    /// reactor model degrades to threads on non-Unix platforms.
+    /// listener dies.
     pub fn run(self) {
-        match self.config.model {
-            ServeModel::Threads => self.run_threads(),
-            ServeModel::Reactor => {
-                #[cfg(unix)]
-                {
-                    let Server {
-                        listener,
-                        tenants,
-                        config,
-                        stop,
-                        active,
-                    } = self;
-                    crate::reactor::run(listener, tenants, config, stop, active);
-                }
-                #[cfg(not(unix))]
-                self.run_threads();
-            }
-        }
-    }
-
-    /// The thread-per-connection accept loop ([`ServeModel::Threads`]).
-    fn run_threads(self) {
-        let Server {
-            listener,
-            tenants,
-            config,
-            stop,
-            active,
-        } = self;
-        let ctl = Arc::new(ServerCtl {
-            stop: Arc::clone(&stop),
-            addr: listener.local_addr().ok(),
-            allow_shutdown: config.allow_shutdown,
-        });
-        for conn in listener.incoming() {
-            if stop.load(Ordering::Acquire) {
-                break;
-            }
-            let Ok(stream) = conn else { continue };
-            // Bounded fan-out: at the cap, answer with a typed BUSY
-            // frame instead of queueing the connection invisibly.
-            if active.load(Ordering::Acquire) >= config.max_connections {
-                refuse_busy(stream, config.busy_retry_ms);
-                continue;
-            }
-            active.fetch_add(1, Ordering::AcqRel);
-            let tenants = Arc::clone(&tenants);
-            let active = Arc::clone(&active);
-            let ctl = Arc::clone(&ctl);
-            let timeout = config.read_timeout;
-            std::thread::spawn(move || {
-                let _ = stream.set_read_timeout(Some(timeout));
-                let _ = stream.set_nodelay(true);
-                serve_connection(stream, &tenants, &ctl);
-                active.fetch_sub(1, Ordering::AcqRel);
-            });
-        }
+        #[cfg(unix)]
+        crate::reactor::run(
+            self.listener,
+            self.tenants,
+            self.config,
+            self.stop,
+            self.active,
+        );
     }
 
     /// Runs the server on a background thread, returning the handle
@@ -308,77 +217,14 @@ impl Server {
 }
 
 /// Sends a typed `BUSY` refusal — code, retry-after-ms hint, message —
-/// and closes the just-accepted connection. Shared by the threads
-/// accept loop (global cap) and the reactor workers (per-worker cap).
+/// and closes the just-accepted connection. Used at the reactor's
+/// global cap (accept loop) and per-worker cap (admission).
 pub(crate) fn refuse_busy(mut stream: TcpStream, retry_after_ms: u8) {
     let _ = protocol::write_frame(
         &mut stream,
         frame_type::ERROR,
         &protocol::encode_busy(retry_after_ms, "connection limit reached"),
     );
-    let _ = stream.shutdown(Shutdown::Both);
-}
-
-/// Connection-thread view of server-level controls: the stop flag a
-/// permitted `SHUTDOWN` frame raises, and the listener address used to
-/// wake the blocking accept so it observes the flag.
-struct ServerCtl {
-    stop: Arc<AtomicBool>,
-    addr: Option<SocketAddr>,
-    allow_shutdown: bool,
-}
-
-/// Serves one connection until clean close, framing damage, or timeout.
-fn serve_connection(mut stream: TcpStream, tenants: &TenantTable, ctl: &ServerCtl) {
-    loop {
-        match protocol::read_frame(&mut stream) {
-            Ok(None) => break, // clean close at a frame boundary
-            Ok(Some(frame)) => {
-                if frame.kind == frame_type::SHUTDOWN {
-                    let reply = if ctl.allow_shutdown && frame.payload.is_empty() {
-                        Frame {
-                            kind: frame_type::SHUTDOWN_OK,
-                            payload: Vec::new(),
-                        }
-                    } else if !ctl.allow_shutdown {
-                        error_frame(
-                            error_code::SHUTDOWN_REFUSED,
-                            "server does not allow remote shutdown",
-                        )
-                    } else {
-                        error_frame(error_code::BAD_FRAME, "shutdown payload must be empty")
-                    };
-                    let stopping = reply.kind == frame_type::SHUTDOWN_OK;
-                    let _ = protocol::write_frame(&mut stream, reply.kind, &reply.payload);
-                    let _ = stream.flush();
-                    if stopping {
-                        ctl.stop.store(true, Ordering::Release);
-                        // Wake the blocking accept so it sees the flag.
-                        if let Some(addr) = ctl.addr {
-                            let _ = TcpStream::connect(addr);
-                        }
-                        break;
-                    }
-                    continue;
-                }
-                let reply = handle_frame(&frame, tenants);
-                if protocol::write_frame(&mut stream, reply.kind, &reply.payload).is_err() {
-                    break;
-                }
-                let _ = stream.flush();
-            }
-            Err(e) => {
-                // Header-level damage desynchronizes the stream: send
-                // one typed error frame (best effort) and close.
-                let _ = protocol::write_frame(
-                    &mut stream,
-                    frame_type::ERROR,
-                    &protocol::encode_error(e.code(), &e.to_string()),
-                );
-                break;
-            }
-        }
-    }
     let _ = stream.shutdown(Shutdown::Both);
 }
 
@@ -389,33 +235,28 @@ pub(crate) fn error_frame(code: u8, message: &str) -> Frame {
     }
 }
 
-/// Maps one request frame to its reply frame. Payload-level damage
-/// keeps the connection: the framing is still in sync, so the error is
-/// a reply, not a hangup. Shared by both serving models (the reactor
-/// routes `QUERY` through its coalescer and `SHUTDOWN` through its own
-/// gate before falling back to this).
-pub(crate) fn handle_frame(frame: &Frame, tenants: &TenantTable) -> Frame {
+/// Maps one request frame other than `QUERY` (the reactor coalesces
+/// those) to its reply frame. Payload-level damage keeps the
+/// connection: the framing is still in sync, so the error is a reply,
+/// not a hangup. This is the `SHUTDOWN` gate too: a refusal unless
+/// `allow_shutdown`, and `SHUTDOWN_OK` for an empty payload, which the
+/// caller answers by stopping the server.
+pub(crate) fn handle_frame(frame: &Frame, tenants: &TenantTable, allow_shutdown: bool) -> Frame {
+    if frame.kind == frame_type::SHUTDOWN && !allow_shutdown {
+        return error_frame(
+            error_code::SHUTDOWN_REFUSED,
+            "server does not allow remote shutdown",
+        );
+    }
     let request = match Request::parse(frame) {
         Ok(request) => request,
-        Err(e @ WireError::Server { .. }) => return error_frame(e.code(), &e.to_string()),
-        Err(e) => return error_frame(error_code::BAD_FRAME, &e.to_string()),
+        Err(e) => return error_frame(e.code(), &e.to_string()),
     };
     match request {
         Request::Ping(payload) => Frame {
             kind: frame_type::PONG,
             payload,
         },
-        Request::Query { tenant, keys } => {
-            let Some(store) = tenants.get(&tenant) else {
-                return error_frame(error_code::UNKNOWN_TENANT, &format!("no tenant {tenant:?}"));
-            };
-            let slices: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
-            let answers = store.contains_batch(&slices);
-            Frame {
-                kind: frame_type::ANSWERS,
-                payload: protocol::encode_answers(&answers),
-            }
-        }
         Request::Feedback { tenant, events } => {
             let Some(store) = tenants.get(&tenant) else {
                 return error_frame(error_code::UNKNOWN_TENANT, &format!("no tenant {tenant:?}"));
@@ -477,11 +318,11 @@ pub(crate) fn handle_frame(frame: &Frame, tenants: &TenantTable) -> Frame {
                 Err(e) => error_frame(error_code::BAD_FRAME, &e.to_string()),
             }
         }
-        // Shutdown is intercepted in `serve_connection` (it needs the
-        // server controls); reaching here means it was not permitted.
-        Request::Shutdown => error_frame(
-            error_code::SHUTDOWN_REFUSED,
-            "server does not allow remote shutdown",
-        ),
+        Request::Shutdown => Frame {
+            kind: frame_type::SHUTDOWN_OK,
+            payload: Vec::new(),
+        },
+        // The reactor answers every QUERY from its coalesced batch.
+        Request::Query { .. } => error_frame(error_code::BAD_FRAME, "QUERY is not handled here"),
     }
 }

@@ -294,34 +294,38 @@ fn reactor_admits_sequential_connections_up_to_the_limit() {
     handle.shutdown();
 }
 
+/// Regression: `put_bytes` wrote a field's length as `len as u16`, so a
+/// 65,539-byte key went out with a length prefix of 3. A release build
+/// drew `BAD_FRAME` "trailing bytes after payload" from the server; a
+/// debug build panicked in the client. The client now refuses the field
+/// before writing a byte, and the same connection keeps serving.
 #[test]
-fn threads_model_serves_the_same_flows() {
-    // The thread-per-connection model stays available for A/B runs;
-    // the core flows must behave identically to the reactor.
-    let config = ServerConfig {
-        model: habf_serve::ServeModel::Threads,
-        ..ServerConfig::default()
-    };
-    let handle = start(config, vec![tenant("t1", 400)]);
+fn over_long_key_is_refused_before_a_byte_is_sent() {
+    let handle = start(ServerConfig::default(), vec![tenant("t1", 100)]);
     let mut client = connect(&handle);
 
-    client.ping(b"threads").expect("ping");
-    let mut probe = members(400);
-    probe.extend((0..100).map(|i| format!("ghost:{i}").into_bytes()));
-    let answers = client.query("t1", &probe).expect("query");
-    assert!(answers[..400].iter().all(|&b| b), "member dropped");
-    let pipelined = client.query_pipelined("t1", &probe, 32).expect("pipelined");
-    assert_eq!(pipelined, answers);
-
-    let err = client
-        .query("nope", &[b"k".to_vec()])
-        .expect_err("unknown tenant");
-    match err {
-        WireError::Server { code, .. } => assert_eq!(code, error_code::UNKNOWN_TENANT),
-        other => panic!("want Server error, got {other:?}"),
+    let long_key = vec![b'k'; usize::from(u16::MAX) + 4];
+    let keys = [b"user:1".to_vec(), long_key];
+    let long_tenant = "t".repeat(usize::from(u16::MAX) + 1);
+    let refusals = [
+        client.query("t1", &keys).map(drop),
+        client.query_pipelined("t1", &keys, 1).map(drop),
+        client.insert("t1", &keys).map(drop),
+        client.feedback("t1", &[(keys[1].clone(), 1.0)]).map(drop),
+        client.stats(&long_tenant).map(drop),
+    ];
+    for (i, refusal) in refusals.into_iter().enumerate() {
+        assert!(
+            matches!(refusal, Err(WireError::BadPayload(_))),
+            "call {i}: want a client-side BadPayload, got {refusal:?}"
+        );
     }
-    client.ping(b"still-alive").expect("ping after error");
 
+    client.ping(b"still-usable").expect("ping after refusal");
+    // Nothing reached the tenant: no lookup, no feedback event.
+    let stats = client.stats("t1").expect("stats");
+    assert!(stats.contains("\"lookups\":0"), "{stats}");
+    assert!(stats.contains("\"fp_events\":0"), "{stats}");
     handle.shutdown();
 }
 

@@ -1,13 +1,13 @@
 //! Slow-loris fairness: drip-fed connections must not stall fast ones.
 //!
-//! The thread-per-connection model tolerates slow writers by burning a
-//! thread per victim; the reactor must tolerate them by design — a
-//! partial frame parks in the connection's assembler buffer and costs
-//! nothing until its bytes arrive. This test pins that property: 32
-//! connections dripping a valid `QUERY` frame one byte at a time while
-//! a fast client measures per-request latency. The fast client's tail
-//! must stay bounded, and the drippers must still be *served* (their
-//! queries complete once the last byte lands) rather than dropped.
+//! The reactor tolerates slow writers by design: a partial frame parks
+//! in the connection's assembler buffer and costs nothing until its
+//! bytes arrive, where one thread per connection would burn a thread
+//! per victim. This test pins that property: 32 connections dripping a
+//! valid `QUERY` frame one byte at a time while a fast client measures
+//! per-request latency. The fast client's tail must stay bounded, and
+//! the drippers must still be *served* (their queries complete once the
+//! last byte lands) rather than dropped.
 
 use std::io::Write;
 use std::net::TcpStream;

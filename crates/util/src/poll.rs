@@ -12,9 +12,8 @@
 //! * **other Unix** — `poll(2)` through the C ABI (std already links
 //!   libc there); the [`Poller`] keeps its own fd registry and rebuilds
 //!   the pollfd array per wait.
-//! * **non-Unix** — a stub that reports `Unsupported`; callers fall back
-//!   to blocking I/O (the serve crate keeps its thread-per-connection
-//!   model for that case).
+//! * **non-Unix** — a stub that reports `Unsupported`; the serve crate
+//!   has no server there (`Server::bind` reports `Unsupported` too).
 //!
 //! The API is deliberately tiny — register / modify / deregister an fd
 //! with a `u64` token, then `wait` for [`Event`]s — and level-triggered

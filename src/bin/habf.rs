@@ -67,8 +67,7 @@ habf adapt FILTER --positives FILE --queries FILE [--out FILE] [--threshold F] \
 [--max-hints N] [--seed N]\n  habf insert FILTER [KEY…] [--keys FILE] [--out FILE]\n  \
 habf inspect FILTER\n  habf migrate FILTER [--out FILE]\n  \
 habf serve --listen ADDR --tenant NAME=FILTER[,POSITIVES] [--tenant …]\n         \
-[--threshold F] [--max-connections N] [--model reactor|threads] [--workers N]\n         \
-[--allow-shutdown]\n  \
+[--threshold F] [--max-connections N] [--workers N] [--allow-shutdown]\n  \
 habf client ADDR ping\n  habf client ADDR query TENANT [KEY…] [--replay FILE]\n  \
 habf client ADDR feedback TENANT (--queries FILE | KEY COST)\n  \
 habf client ADDR stats TENANT\n  habf client ADDR rebuild TENANT [--seed N] [--max-hints N]\n  \
@@ -659,7 +658,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             "--max-connections" => {
                 config.max_connections = val().parse().unwrap_or_else(|_| usage());
             }
-            "--model" => config.model = val().parse().unwrap_or_else(|_| usage()),
             "--workers" => config.workers = val().parse().unwrap_or_else(|_| usage()),
             "--allow-shutdown" => config.allow_shutdown = true,
             _ => usage(),
@@ -675,6 +673,10 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             eprintln!("habf: --tenant wants NAME=FILTER[,POSITIVES], got {spec:?}");
             return ExitCode::FAILURE;
         };
+        if tenants.get(name).is_some() {
+            eprintln!("habf: tenant {name:?} is given by more than one --tenant");
+            return ExitCode::FAILURE;
+        }
         let (filter_path, positives_path) = match paths.split_once(',') {
             Some((f, p)) => (f, Some(p)),
             None => (paths, None),
@@ -699,7 +701,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         println!("tenant {name}: {filter_path} ({rebuilds})");
         tenants.add(store);
     }
-    println!("serving model: {}", config.model.name());
+    let served = tenants.names().len();
     let server = match Server::bind(&listen[..], tenants, config) {
         Ok(server) => server,
         Err(e) => {
@@ -710,8 +712,8 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     // The address stays the last token of this line: `habf` wrappers
     // (and tests/cli.rs) parse it from the `serving ... on ` prefix.
     match server.local_addr() {
-        Ok(addr) => println!("serving {} tenants on {addr}", tenant_specs.len()),
-        Err(_) => println!("serving {} tenants on {listen}", tenant_specs.len()),
+        Ok(addr) => println!("serving {served} tenants on {addr}"),
+        Err(_) => println!("serving {served} tenants on {listen}"),
     }
     server.run();
     println!("server stopped");

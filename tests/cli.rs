@@ -565,6 +565,51 @@ fn serve_and_client_round_trip_over_the_wire() {
     assert!(status.success(), "server must exit cleanly after shutdown");
 }
 
+/// A `--tenant` NAME given twice is refused with a message naming it.
+/// The table keeps one entry per name, so the second image used to
+/// replace the first without a word while the banner counted both.
+#[test]
+fn serve_refuses_a_repeated_tenant_name() {
+    let dir = TempDir::new("serve-dup");
+    let pos = write_file(
+        &dir.0,
+        "pos.txt",
+        &(0..200).map(|i| format!("user:{i}")).collect::<Vec<_>>(),
+    );
+    let filter = dir.0.join("dup.bin");
+    let build = Command::new(bin())
+        .args(["build", "--positives"])
+        .arg(&pos)
+        .arg("--out")
+        .arg(&filter)
+        .output()
+        .expect("run build");
+    assert!(build.status.success());
+
+    let spec = format!("dup={}", filter.display());
+    let mut server = Command::new(bin())
+        .args(["serve", "--listen", "127.0.0.1:0", "--allow-shutdown"])
+        .args(["--tenant", &spec, "--tenant", &spec])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn serve");
+    // A server that starts serves until stopped: bound the wait.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while server.try_wait().expect("poll serve").is_none() {
+        if std::time::Instant::now() > deadline {
+            let _ = server.kill();
+            let _ = server.wait();
+            panic!("serve started with a repeated tenant name");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let out = server.wait_with_output().expect("serve output");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("\"dup\""), "{stderr}");
+}
+
 /// The registry is the CLI's dispatch surface: every id `habf filters`
 /// lists must build, persist, query, and inspect with the same flags —
 /// the CI matrix runs this same loop through the shell.
