@@ -182,6 +182,7 @@ impl AdaptationComparison {
         };
         format!(
             "{{\"suite\":\"adaptation\",\
+             {}\
              \"members\":{},\
              \"bits_per_key\":{},\
              \"universe\":{},\
@@ -194,6 +195,7 @@ impl AdaptationComparison {
              \"static\":{},\
              \"adaptive\":{},\
              \"post_drift_ratio\":{:.6}}}",
+            crate::report::provenance_json(),
             self.members,
             self.bits_per_key,
             self.drift.universe,
@@ -280,6 +282,9 @@ mod tests {
             "\"post_drift_wasted_weighted_cost\":",
             "\"rebuilds\":",
             "\"post_drift_ratio\":",
+            "\"commit\":\"",
+            "\"nproc\":\"",
+            "\"rustc\":\"",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }

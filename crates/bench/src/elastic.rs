@@ -310,6 +310,7 @@ impl ElasticComparison {
             .collect();
         format!(
             "{{\"suite\":\"elastic\",\
+             {}\
              \"base_capacity\":{},\
              \"bits_per_key\":{},\
              \"probes\":{},\
@@ -319,6 +320,7 @@ impl ElasticComparison {
              \"fold_back\":{},\
              \"from_scratch\":{},\
              \"fold_fpr_ratio\":{:.6}}}",
+            crate::report::provenance_json(),
             self.base_capacity,
             self.bits_per_key,
             self.probes,
@@ -402,6 +404,9 @@ mod tests {
             "\"from_scratch\":{",
             "\"weighted_fpr\":",
             "\"fold_fpr_ratio\":",
+            "\"commit\":\"",
+            "\"nproc\":\"",
+            "\"rustc\":\"",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }

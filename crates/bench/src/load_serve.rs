@@ -82,6 +82,7 @@ impl LoadServeResult {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"suite\":\"load_serve\",\
+             {}\
              \"keys\":{},\
              \"shards\":{},\
              \"bits_per_key\":{},\
@@ -93,6 +94,7 @@ impl LoadServeResult {
              \"probes\":{},\
              \"probe_owned_mops\":{:.3},\
              \"probe_view_mops\":{:.3}}}",
+            crate::report::provenance_json(),
             self.keys,
             self.shards,
             self.bits_per_key,
@@ -245,6 +247,9 @@ mod tests {
             "\"open_view_ns\":",
             "\"open_speedup\":",
             "\"probe_view_mops\":",
+            "\"commit\":\"",
+            "\"nproc\":\"",
+            "\"rustc\":\"",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }

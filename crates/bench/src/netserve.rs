@@ -124,19 +124,16 @@ impl ServeResult {
                 r.p999_us,
             );
         }
-        let mut provenance = String::new();
-        for (key, value) in crate::report::provenance() {
-            let _ = write!(provenance, "\"{key}\":\"{value}\",");
-        }
         format!(
             "{{\"suite\":\"serve\",\
-             {provenance}\
+             {}\
              \"keys\":{},\
              \"batch\":{},\
              \"requests_per_connection\":{},\
              \"depth\":{},\
              \"best_qps\":{:.1},\
              \"rows\":[{rows}]}}",
+            crate::report::provenance_json(),
             self.keys,
             self.batch,
             self.requests_per_connection,

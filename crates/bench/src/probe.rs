@@ -127,12 +127,14 @@ impl ProbeResult {
         }
         format!(
             "{{\"suite\":\"probe\",\
+             {}\
              \"keys\":{},\
              \"probes\":{},\
              \"bits_per_key\":{},\
              \"threads\":{},\
              \"best_batch_mops\":{:.3},\
              \"rows\":[{rows}]}}",
+            crate::report::provenance_json(),
             self.keys,
             self.probes,
             self.bits_per_key,
@@ -272,6 +274,9 @@ mod tests {
             "\"rows\":[",
             "\"id\":\"blocked-habf\"",
             "\"batch_noprefetch_mops\":",
+            "\"commit\":\"",
+            "\"nproc\":\"",
+            "\"rustc\":\"",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }

@@ -130,6 +130,15 @@ pub(crate) fn provenance() -> [(&'static str, String); 3] {
     ]
 }
 
+/// [`provenance`] as JSON members, each followed by a comma, for a
+/// summary writer to splice in after its `"suite"` member.
+pub(crate) fn provenance_json() -> String {
+    provenance()
+        .iter()
+        .map(|(key, value)| format!("\"{key}\":\"{value}\","))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -22,11 +22,16 @@
 //!
 //! The serving layers wire this together: the LSM store records every
 //! wasted read at query time, checks the policy, and on a trigger re-runs
-//! TPJO over each run with the mined hints ([`crate::sharded::ShardedHabf`]
-//! rebuilds per shard through the copy-on-write `Arc::make_mut` path, so
-//! concurrent readers keep their snapshots).
+//! TPJO over each run with the mined hints; a served tenant
+//! ([`crate::TenantStore`]) rebuilds a private copy and swaps it in, so
+//! concurrent readers keep their snapshots.
 
 use std::collections::{HashMap, VecDeque};
+
+/// The largest cost one event carries; [`FpLog::record`] clamps a larger
+/// one to it. Even `usize::MAX` events of this cost sum to about 1.8e31,
+/// so every aggregate the log reports stays finite.
+pub const MAX_EVENT_COST: f64 = 1e12;
 
 /// Ring-buffered, cost-decayed log of observed false positives.
 ///
@@ -104,13 +109,15 @@ impl FpLog {
     /// found nothing, wasting `cost` units (level-weighted in the LSM).
     ///
     /// Events with a non-finite or non-positive cost are counted in
-    /// [`FpLog::rejected`] and otherwise ignored — feedback is untrusted
-    /// input and must never poison the mined hints.
+    /// [`FpLog::rejected`] and otherwise ignored, and a cost above
+    /// [`MAX_EVENT_COST`] is clamped to it — feedback is untrusted input
+    /// and must never poison the mined hints.
     pub fn record(&mut self, key: &[u8], cost: f64) {
         if !cost.is_finite() || cost <= 0.0 {
             self.rejected += 1;
             return;
         }
+        let cost = cost.min(MAX_EVENT_COST);
         if self.ring.len() == self.capacity {
             if let Some((_, evicted)) = self.ring.pop_front() {
                 // The evicted event is `capacity - 1` records old *before*
@@ -427,6 +434,21 @@ mod tests {
         let hints = log.mine_hints(10);
         assert_eq!(hints.len(), 1);
         assert!(hints.iter().all(|(_, c)| c.is_finite() && *c > 0.0));
+    }
+
+    /// Regression: two events at `f64::MAX` summed to infinity, so the
+    /// log reported an infinite cost and mined an infinite hint.
+    #[test]
+    fn huge_costs_are_clamped_so_every_sum_stays_finite() {
+        let mut log = FpLog::new(8, 1.0);
+        log.record(b"k", f64::MAX);
+        log.record(b"k", f64::MAX);
+        assert_eq!(log.decayed_wasted_cost(), 2.0 * MAX_EVENT_COST);
+        assert_eq!(
+            log.mine_hints(4),
+            vec![(b"k".to_vec(), 2.0 * MAX_EVENT_COST)]
+        );
+        assert_eq!(log.rejected(), 0, "a huge cost is clamped, not dropped");
     }
 
     #[test]

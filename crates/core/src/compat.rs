@@ -47,7 +47,6 @@ use habf_filters::{
     BinaryFuseFilter, BlockedBloomFilter, BloomFilter, WeightedBloomFilter, XorFilter,
 };
 use habf_util::{BitVec, PackedCells, Words};
-use std::sync::Arc;
 
 /// The retired container version: opaque, unaligned payload.
 pub(crate) const CONTAINER_VERSION_V1: u8 = 1;
@@ -156,8 +155,7 @@ where
     let mut parts = Vec::with_capacity(shards);
     for _ in 0..shards {
         let len = r.count()?;
-        let shard = F::from_decoded(decode_habf(r.bytes(len)?, F::KIND)?);
-        parts.push(Arc::new(shard));
+        parts.push(F::from_decoded(decode_habf(r.bytes(len)?, F::KIND)?));
     }
     r.finish()?;
     Ok(ShardedHabf::from_shard_parts(

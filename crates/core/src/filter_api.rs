@@ -1,8 +1,8 @@
 //! The unified, object-safe filter API: one validated build entry point
 //! ([`FilterSpec`] + [`BuildInput`]), one runtime trait every filter
-//! serves behind ([`DynFilter`]), and capability traits ([`BatchQuery`],
+//! serves behind ([`DynFilter`]), capability traits ([`BatchQuery`],
 //! [`Rebuildable`], [`Growable`]) discovered at runtime instead of
-//! matched on.
+//! matched on, and the one object-safe copy ([`CloneFilter`]).
 //!
 //! ```text
 //!              FilterSpec::habf().bits_per_key(10.0)
@@ -477,7 +477,7 @@ impl FilterSpec {
 /// rebuilds a non-[`Rebuildable`] filter from scratch, the CLI refuses
 /// `adapt` on one with a typed message, and every insert surface returns
 /// a typed error for a filter that cannot grow.
-pub trait DynFilter: Filter {
+pub trait DynFilter: Filter + CloneFilter {
     /// The registry id this filter persists and loads under (an ASCII
     /// slug such as `"habf"` or `"weighted-bloom"`) — distinct from
     /// [`Filter::name`], which is the paper-style display name.
@@ -554,6 +554,22 @@ pub trait DynFilter: Filter {
     /// zero-FN / FP-envelope contract.
     fn as_growable(&mut self) -> Option<&mut dyn Growable> {
         None
+    }
+}
+
+/// The object-safe copy every [`DynFilter`] has: a private filter equal
+/// to this one, which the caller may mutate while others keep reading the
+/// original. Image-backed words are shared until the copy first writes
+/// them (see [`DynFilter::backing`]). Implemented for every `Clone`
+/// filter, so no filter writes it by hand.
+pub trait CloneFilter {
+    /// A boxed copy of this filter.
+    fn clone_filter(&self) -> Box<dyn DynFilter>;
+}
+
+impl<T: DynFilter + Clone + 'static> CloneFilter for T {
+    fn clone_filter(&self) -> Box<dyn DynFilter> {
+        Box::new(self.clone())
     }
 }
 

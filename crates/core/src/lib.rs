@@ -74,8 +74,8 @@ pub mod vindex;
 pub use adapt::{AdaptPolicy, FpLog, RebuildKind};
 pub use blocked::{BlockedFamily, BlockedHabf};
 pub use filter_api::{
-    BatchQuery, BuildError, BuildInput, DynFilter, FilterParams, FilterSpec, Growable, Rebuildable,
-    SpaceBudget,
+    BatchQuery, BuildError, BuildInput, CloneFilter, DynFilter, FilterParams, FilterSpec, Growable,
+    Rebuildable, SpaceBudget,
 };
 pub use habf::{ConfigError, FHabf, Habf, HabfConfig, QueryOutcome};
 pub use hash_expressor::HashExpressor;
@@ -84,7 +84,7 @@ pub use persist::{
 };
 pub use registry::{FilterEntry, ImageFormat, LoadedFilter, OpenError};
 pub use scalable::ScalableHabf;
-pub use sharded::{InsertOutcome, InsertableShard, ShardFilter, ShardedConfig, ShardedHabf};
+pub use sharded::{ShardFilter, ShardedConfig, ShardedHabf};
 pub use tenant::{InsertError, RebuildError, RebuildOutcome, TenantStats, TenantStore};
 pub use tpjo::{BuildStats, TpjoConfig};
 

@@ -386,7 +386,7 @@ impl Rebuildable for FHabf {
     }
 }
 
-impl<F: ShardFilter + Clone + V2Shard> DynFilter for ShardedHabf<F> {
+impl<F: ShardFilter + Clone + V2Shard + 'static> DynFilter for ShardedHabf<F> {
     fn filter_id(&self) -> &'static str {
         if F::KIND == 0 {
             "sharded-habf"
@@ -446,10 +446,9 @@ impl<F: ShardFilter + Clone + V2Shard> DynFilter for ShardedHabf<F> {
         ]
     }
 
-    /// Built keys plus post-build inserts over the built design
-    /// capacity: the sharded filter absorbs inserts with `H0` (zero FN,
-    /// degrading FPR), so saturation climbing past 1.0 is the signal to
-    /// schedule the rebuild `insert_batch` recommends.
+    /// Built keys plus the post-build inserts the image records, over
+    /// the built design capacity: past 1.0 the filter holds keys TPJO
+    /// never saw, and a rebuild recovers its FP envelope.
     fn saturation(&self) -> f64 {
         (self.built_keys() + self.inserted_since_build()) as f64 / self.built_keys().max(1) as f64
     }
@@ -473,7 +472,7 @@ impl<F: ShardFilter> BatchQuery for ShardedHabf<F> {
     }
 }
 
-impl<F: ShardFilter + Clone> Rebuildable for ShardedHabf<F> {
+impl<F: ShardFilter> Rebuildable for ShardedHabf<F> {
     fn rebuild(&mut self, input: &BuildInput<'_>, seed: u64) -> Result<(), BuildError> {
         input.validate_costs()?;
         self.rebuild_in_place(&input.members, &input.merged_negatives(), seed);
@@ -573,7 +572,7 @@ where
     let mut parts = Vec::with_capacity(shards);
     for _ in 0..shards {
         let d = persist::decode_v2_meta(&mut r, F::KIND, frames)?;
-        parts.push(Arc::new(F::from_decoded(d)));
+        parts.push(F::from_decoded(d));
     }
     r.finish()?;
     Ok(Box::new(ShardedHabf::from_shard_parts(

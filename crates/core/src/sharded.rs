@@ -17,13 +17,12 @@
 //! * **Build** fans the per-shard TPJO runs out over `std::thread::scope`
 //!   workers ([`ShardedHabf::build_par`]). Shard builds are deterministic,
 //!   so the result is byte-for-byte identical regardless of thread count.
-//! * **Read** is lock-free. Shards are held in [`Arc`]s and never mutated
-//!   in place; [`ShardedHabf::shard_handle`] clones out a cheap per-shard
-//!   handle a server thread can query without touching the others.
-//! * **Write** ([`ShardedHabf::insert_batch`]) is copy-on-write via
-//!   [`Arc::make_mut`]: concurrent readers holding handles keep the
-//!   pre-insert snapshot; the writer pays a shard clone only when a reader
-//!   actually holds one.
+//! * **Read** is lock-free: queries take `&self`, so any number of
+//!   threads probe one filter at once.
+//! * **Write** ([`ShardedHabf::rebuild_in_place`]) takes `&mut self`. A
+//!   server that must keep readers on the old filter rebuilds a private
+//!   copy ([`crate::CloneFilter::clone_filter`]) and swaps it in, as
+//!   [`crate::TenantStore`] does.
 //!
 //! ```
 //! use habf_core::{registry, DynFilter, Habf, HabfConfig, ShardedConfig, ShardedHabf};
@@ -51,7 +50,6 @@ use crate::habf::{ConfigError, FHabf, Habf, HabfConfig};
 use crate::persist;
 use habf_filters::Filter;
 use std::cell::RefCell;
-use std::sync::Arc;
 
 /// Seed tag mixed into the splitter hash so shard routing can never
 /// coincide with the seeded hashes used *inside* a shard.
@@ -150,21 +148,6 @@ impl ShardFilter for FHabf {
     }
 }
 
-/// A shard that additionally supports post-build single-key inserts
-/// (only [`Habf`] — the f-HABF query path cannot absorb new keys without
-/// a rebuild, which is what [`ShardedHabf::insert_batch`]'s rebuild
-/// signal is for).
-pub trait InsertableShard: ShardFilter + Clone {
-    /// Inserts a positive key into the built shard (see [`Habf::insert`]).
-    fn insert_key(&mut self, key: &[u8]);
-}
-
-impl InsertableShard for Habf {
-    fn insert_key(&mut self, key: &[u8]) {
-        self.insert(key);
-    }
-}
-
 /// Configuration of a sharded build: shard count, build parallelism, and
 /// the *total* budget shared by all shards.
 #[derive(Clone, Debug)]
@@ -250,21 +233,11 @@ impl ShardedConfig {
     }
 }
 
-/// Outcome of [`ShardedHabf::insert_batch`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct InsertOutcome {
-    /// Keys routed and inserted.
-    pub inserted: usize,
-    /// `true` once post-build inserts exceed 25% of the built key count:
-    /// incremental inserts go in with `H0` only (no TPJO), so the FPR
-    /// optimization decays and a rebuild will recover it.
-    pub rebuild_recommended: bool,
-}
-
 /// A filter sharded across `N` independent [`ShardFilter`]s with a
 /// dedicated splitter hash (see the [module docs](self)).
+#[derive(Clone)]
 pub struct ShardedHabf<F: ShardFilter> {
-    shards: Vec<Arc<F>>,
+    shards: Vec<F>,
     splitter_seed: u64,
     built_keys: usize,
     inserted_since_build: usize,
@@ -342,7 +315,7 @@ impl<F: ShardFilter> ShardedHabf<F> {
         Self {
             shards: slots
                 .into_iter()
-                .map(|s| Arc::new(s.expect("every shard built")))
+                .map(|s| s.expect("every shard built"))
                 .collect(),
             splitter_seed: config.splitter_seed,
             built_keys: total_positives,
@@ -375,16 +348,6 @@ impl<F: ShardFilter> ShardedHabf<F> {
     #[must_use]
     pub fn shard(&self, i: usize) -> &F {
         &self.shards[i]
-    }
-
-    /// Clones out a lock-free handle to shard `i` — the unit a serving
-    /// thread holds while answering queries for that shard.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of range.
-    #[must_use]
-    pub fn shard_handle(&self, i: usize) -> Arc<F> {
-        Arc::clone(&self.shards[i])
     }
 
     /// Queries a batch in input order, grouped by shard so each shard's
@@ -496,7 +459,8 @@ impl<F: ShardFilter> ShardedHabf<F> {
         out
     }
 
-    /// Keys inserted since the last full build.
+    /// Post-build inserts the filter's image records (a persisted field;
+    /// a rebuild resets it).
     #[must_use]
     pub fn inserted_since_build(&self) -> usize {
         self.inserted_since_build
@@ -523,7 +487,7 @@ impl<F: ShardFilter> ShardedHabf<F> {
     /// codec, which may hand over zero-copy views, and the legacy `HABS`
     /// reader).
     pub(crate) fn from_shard_parts(
-        shards: Vec<Arc<F>>,
+        shards: Vec<F>,
         splitter_seed: u64,
         built_keys: usize,
         inserted_since_build: usize,
@@ -539,60 +503,19 @@ impl<F: ShardFilter> ShardedHabf<F> {
             inserted_since_build,
         }
     }
-}
 
-impl<F: ShardFilter + Clone> ShardedHabf<F> {
     /// Re-runs the full TPJO construction over fresh positive/negative
-    /// sets and installs the result shard-by-shard through the existing
-    /// copy-on-write path: each slot is replaced via [`Arc::make_mut`], so
-    /// readers still holding a [`ShardedHabf::shard_handle`] keep serving
-    /// their pre-rebuild snapshot while new queries see the rebuilt shard.
+    /// sets, each shard over its partition **at its existing geometry**
+    /// (see [`Habf::rebuild`]), so the rebuild needs nothing beyond the
+    /// loaded filter — no original build config, and no risk of the
+    /// per-shard budget slices drifting through rounding. Routing (shard
+    /// count and splitter seed) never changes, so no key migrates between
+    /// shards. Shard `i` is re-seeded `base_seed + i·φ64`, matching the
+    /// build-time stride.
     ///
     /// This is the adaptation loop's rebuild step: the negative set is
     /// typically mined from an [`crate::adapt::FpLog`] of observed false
-    /// positives. `config` must route identically to the filter being
-    /// rebuilt (same shard count and splitter seed), otherwise existing
-    /// keys would migrate between shards and the zero-FN contract of
-    /// in-flight handles would silently change meaning.
-    ///
-    /// Resets [`ShardedHabf::inserted_since_build`].
-    ///
-    /// # Panics
-    /// Panics if `config.shards` or `config.splitter_seed` disagree with
-    /// the built filter, on an invalid configuration, or if a build
-    /// worker panics.
-    pub fn rebuild_par(
-        &mut self,
-        positives: &[impl AsRef<[u8]>],
-        negatives: &[(impl AsRef<[u8]>, f64)],
-        config: &ShardedConfig,
-    ) {
-        assert_eq!(
-            config.shards,
-            self.shards.len(),
-            "rebuild must keep the shard count"
-        );
-        assert_eq!(
-            config.splitter_seed, self.splitter_seed,
-            "rebuild must keep the splitter seed"
-        );
-        let fresh = Self::build_par(positives, negatives, config);
-        for (slot, built) in self.shards.iter_mut().zip(fresh.shards) {
-            // Freshly built arcs are unique, so this moves, not clones.
-            let shard = Arc::try_unwrap(built).unwrap_or_else(|arc| (*arc).clone());
-            *Arc::make_mut(slot) = shard;
-        }
-        self.built_keys = fresh.built_keys;
-        self.inserted_since_build = 0;
-    }
-
-    /// [`ShardedHabf::rebuild_par`] without a configuration: every shard
-    /// re-runs TPJO over its partition **at its existing geometry** (see
-    /// [`Habf::rebuild`]), so the rebuild needs nothing beyond the loaded
-    /// filter — no original build config, and no risk of the per-shard
-    /// budget slices drifting through rounding. Shard `i` is re-seeded
-    /// `base_seed + i·φ64`, matching the build-time stride; replacement
-    /// goes through the same [`Arc::make_mut`] copy-on-write path.
+    /// positives.
     ///
     /// Pass the build's base seed to keep `H0` selection stable — then
     /// only keys the optimizer must adjust change their answers, so
@@ -618,43 +541,12 @@ impl<F: ShardFilter + Clone> ShardedHabf<F> {
             let key = key.as_ref();
             neg_parts[shard_of(key, self.splitter_seed, n)].push((key, *cost));
         }
-        for (i, slot) in self.shards.iter_mut().enumerate() {
+        for (i, shard) in self.shards.iter_mut().enumerate() {
             let seed = base_seed.wrapping_add((i as u64).wrapping_mul(SHARD_SEED_STRIDE));
-            Arc::make_mut(slot).rebuild_shard(&pos_parts[i], &neg_parts[i], seed);
+            shard.rebuild_shard(&pos_parts[i], &neg_parts[i], seed);
         }
         self.built_keys = positives.len();
         self.inserted_since_build = 0;
-    }
-}
-
-impl<F: InsertableShard> ShardedHabf<F> {
-    /// Inserts a batch of positive keys after construction, routing each to
-    /// its shard. Copy-on-write: a shard is cloned only if a reader still
-    /// holds a [`ShardedHabf::shard_handle`] to it, and those readers keep
-    /// the pre-insert snapshot.
-    ///
-    /// The returned [`InsertOutcome`] is rebuild-aware: incremental inserts
-    /// bypass TPJO (they set `H0` bits only, see [`Habf::insert`]), so once
-    /// they exceed 25% of the built key count the outcome recommends a
-    /// fresh [`ShardedHabf::build_par`].
-    pub fn insert_batch(&mut self, keys: &[impl AsRef<[u8]>]) -> InsertOutcome {
-        let n = self.shards.len();
-        for key in keys {
-            let key = key.as_ref();
-            let i = shard_of(key, self.splitter_seed, n);
-            Arc::make_mut(&mut self.shards[i]).insert_key(key);
-        }
-        self.inserted_since_build += keys.len();
-        InsertOutcome {
-            inserted: keys.len(),
-            rebuild_recommended: self.rebuild_recommended(),
-        }
-    }
-
-    /// `true` once post-build inserts exceed 25% of the built key count.
-    #[must_use]
-    pub fn rebuild_recommended(&self) -> bool {
-        self.inserted_since_build * 4 > self.built_keys.max(1)
     }
 }
 
@@ -712,6 +604,7 @@ mod tests {
     use super::*;
     use crate::persist::PersistError;
     use crate::{registry, BuildInput, DynFilter};
+    use std::sync::Arc;
 
     type Workload = (Vec<Vec<u8>>, Vec<(Vec<u8>, f64)>);
 
@@ -857,70 +750,6 @@ mod tests {
         assert_eq!(registry::load(&bad).err(), Some(PersistError::WrongKind));
     }
 
-    #[test]
-    fn insert_batch_routes_and_recommends_rebuild() {
-        let (pos, neg) = workload(1_000);
-        let mut f = ShardedHabf::<Habf>::build_par(&pos, &neg, &config(4, 2_000 * 10));
-        // A reader holds one shard: inserts must not disturb its snapshot.
-        let reader_view = f.shard_handle(0);
-        let reader_bytes = reader_view.to_container_bytes();
-
-        let late = keys(200, "late");
-        let outcome = f.insert_batch(&late);
-        assert_eq!(outcome.inserted, 200);
-        assert!(!outcome.rebuild_recommended, "200/1000 is under threshold");
-        for k in pos.iter().chain(late.iter()) {
-            assert!(f.contains(k), "post-insert member dropped");
-        }
-        assert_eq!(
-            reader_view.to_container_bytes(),
-            reader_bytes,
-            "copy-on-write must leave the reader's snapshot untouched"
-        );
-
-        let more = keys(200, "more");
-        let outcome = f.insert_batch(&more);
-        assert!(
-            outcome.rebuild_recommended,
-            "400/1000 post-build inserts must trip the rebuild signal"
-        );
-        assert_eq!(f.inserted_since_build(), 400);
-    }
-
-    #[test]
-    fn rebuild_par_swaps_shards_but_readers_keep_snapshots() {
-        let (pos, neg) = workload(1_000);
-        let cfg = config(4, 1_000 * 10);
-        let mut f = ShardedHabf::<Habf>::build_par(&pos, &neg, &cfg);
-        let _ = f.insert_batch(&keys(300, "late"));
-        assert_eq!(f.inserted_since_build(), 300);
-
-        // A reader holds shard 0 across the rebuild.
-        let reader_view = f.shard_handle(0);
-        let reader_bytes = reader_view.to_container_bytes();
-
-        // Adapt: the observed costly misses become the new negative set.
-        let mined: Vec<(Vec<u8>, f64)> =
-            keys(500, "mined").into_iter().map(|k| (k, 10.0)).collect();
-        f.rebuild_par(&pos, &mined, &cfg);
-
-        assert_eq!(f.inserted_since_build(), 0, "rebuild resets the counter");
-        for k in &pos {
-            assert!(f.contains(k), "rebuild dropped a member");
-        }
-        let pruned = mined.iter().filter(|(k, _)| !f.contains(k)).count();
-        assert!(pruned > 400, "only {pruned}/500 mined misses pruned");
-        assert_eq!(
-            reader_view.to_container_bytes(),
-            reader_bytes,
-            "copy-on-write rebuild must leave the reader's snapshot intact"
-        );
-        // The rebuilt filter is byte-identical to a from-scratch build
-        // over the same sets — rebuild is a real TPJO rerun, not a patch.
-        let scratch = ShardedHabf::<Habf>::build_par(&pos, &mined, &cfg);
-        assert_eq!(f.to_container_bytes(), scratch.to_container_bytes());
-    }
-
     /// Regression: rebuilding a *loaded* filter at a budget re-derived
     /// from `space_bits()` loses bits to per-shard rounding, shifting the
     /// Bloom geometry and re-randomizing every answer. `rebuild_in_place`
@@ -965,24 +794,14 @@ mod tests {
             "{after} FPs remain of {} observed",
             observed_fps.len()
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "rebuild must keep the shard count")]
-    fn rebuild_par_rejects_shard_count_change() {
-        let (pos, neg) = workload(200);
-        let mut f = ShardedHabf::<Habf>::build_par(&pos, &neg, &config(4, 2_000));
-        f.rebuild_par(&pos, &neg, &config(2, 2_000));
-    }
-
-    #[test]
-    #[should_panic(expected = "rebuild must keep the splitter seed")]
-    fn rebuild_par_rejects_splitter_seed_change() {
-        let (pos, neg) = workload(200);
-        let mut f = ShardedHabf::<Habf>::build_par(&pos, &neg, &config(2, 2_000));
-        let mut other = config(2, 2_000);
-        other.splitter_seed ^= 1;
-        f.rebuild_par(&pos, &neg, &other);
+        // With the build's seed, a rebuild is byte-identical to a
+        // from-scratch build over the same sets: a real TPJO rerun, not a
+        // patch. The copy is rebuilt; the filter it came from is not.
+        let mut rebuilt = f.clone();
+        rebuilt.rebuild_in_place(&pos, &mined, build_cfg.base.seed);
+        let scratch = ShardedHabf::<Habf>::build_par(&pos, &mined, &build_cfg);
+        assert_eq!(rebuilt.to_container_bytes(), scratch.to_container_bytes());
+        assert!(observed_fps.iter().all(|k| f.contains(k)));
     }
 
     #[test]

@@ -3,19 +3,18 @@
 //! policy behind interior mutability so a server can share one store
 //! across every connection thread.
 //!
-//! ## Hot swap
+//! ## Copy-on-write
 //!
 //! The filter lives behind `RwLock<Arc<dyn DynFilter>>`. Queries clone
 //! the `Arc` under the read lock ([`TenantStore::snapshot`]) and probe
 //! outside it, so an in-flight batch keeps one consistent filter for its
-//! whole run even while a rebuild swaps the tenant to a new generation.
-//! [`TenantStore::rebuild_now`] re-encodes the current snapshot,
-//! reloads it as a private copy (the copy-on-write word store means the
-//! reload shares payload words until the rebuild's first mutation
-//! promotes them to owned), rebuilds at the same geometry with hints
-//! mined from the FP log, and swaps the `Arc` under the write lock.
-//! Readers never observe a half-rebuilt filter; they hold either the old
-//! generation or the new one.
+//! whole run. A mutation never writes a filter that a snapshot holds:
+//! [`TenantStore::insert_keys`] writes in place only while the tenant's
+//! `Arc` is unique, and otherwise installs a private copy
+//! ([`crate::CloneFilter::clone_filter`]) first;
+//! [`TenantStore::rebuild_now`] rebuilds a copy off-lock and swaps it in.
+//! Readers never observe a half-mutated filter; they hold either the old
+//! filter or the new one.
 //!
 //! ## Feedback
 //!
@@ -47,9 +46,6 @@ pub enum RebuildError {
     NoMembers,
     /// The tenant's filter does not expose the rebuild capability.
     NotRebuildable,
-    /// Re-loading the snapshot image for the private rebuild copy failed
-    /// (this indicates a serialization bug, not bad input).
-    Reload(crate::persist::PersistError),
     /// The rebuild itself failed.
     Build(BuildError),
 }
@@ -59,7 +55,6 @@ impl core::fmt::Display for RebuildError {
         match self {
             Self::NoMembers => write!(f, "tenant has no positive set; rebuild unavailable"),
             Self::NotRebuildable => write!(f, "filter does not support rebuild"),
-            Self::Reload(e) => write!(f, "snapshot reload failed: {e}"),
             Self::Build(e) => write!(f, "rebuild failed: {e}"),
         }
     }
@@ -77,19 +72,12 @@ pub enum InsertError {
         /// Registry id of the filter that refused.
         id: &'static str,
     },
-    /// Re-loading the snapshot image for the private insert copy failed
-    /// (this indicates a serialization bug, not bad input).
-    Reload(crate::persist::PersistError),
 }
 
 impl core::fmt::Display for InsertError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            Self::NotGrowable { id } => {
-                write!(f, "filter {id:?} cannot grow past its design capacity")
-            }
-            Self::Reload(e) => write!(f, "snapshot reload failed: {e}"),
-        }
+        let Self::NotGrowable { id } = self;
+        write!(f, "filter {id:?} cannot grow past its design capacity")
     }
 }
 
@@ -193,8 +181,8 @@ pub struct TenantStore {
     /// What kind the last completed rebuild was (stats surface).
     last_rebuild: Mutex<Option<RebuildKind>>,
     /// Whether the filter has the growth and rebuild capabilities. Both
-    /// belong to the filter's type, and a swap always installs a reload
-    /// of the same id, so they are read once here; a refused mutation
+    /// belong to the filter's type, and a swap always installs a copy of
+    /// the same type, so they are read once here; a refused mutation
     /// then answers without copying the filter.
     growable: bool,
     rebuildable: bool,
@@ -365,12 +353,13 @@ impl TenantStore {
     }
 
     /// Inserts keys into the tenant's filter through the growth
-    /// capability and hot-swaps the grown filter in, leaving in-flight
-    /// snapshot holders on the previous one. The inserts run on a
-    /// private copy (snapshot bytes → fresh filter, copy-on-write word
-    /// sharing keeps that cheap), so queries keep flowing for the whole
-    /// mutation. The tenant's member list (when attached) absorbs the
-    /// new keys so a later fold-back rebuild preserves them.
+    /// capability, copy-on-write: while no snapshot is held the keys go
+    /// into the serving filter in place, under the write lock; otherwise
+    /// a private copy, made outside the write lock, replaces it first and
+    /// takes the keys, and snapshot holders keep the filter they have.
+    /// The mutation gate excludes other writers, so no reader waits for
+    /// the copy. The tenant's member list (when attached) absorbs the new
+    /// keys so a later fold-back rebuild preserves them.
     ///
     /// # Errors
     /// [`InsertError::NotGrowable`] when the filter lacks the capability
@@ -386,23 +375,27 @@ impl TenantStore {
             .rebuild_gate
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let snapshot = self.snapshot();
-        let mut fresh = registry::load_bytes(snapshot.to_container_bytes())
-            .map_err(InsertError::Reload)?
-            .filter;
-        {
-            let growable = fresh.as_growable().ok_or(InsertError::NotGrowable {
-                id: snapshot.filter_id(),
-            })?;
-            for key in keys {
-                growable.insert(key);
-            }
+        let mut filter = self
+            .filter
+            .write()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        if Arc::get_mut(&mut filter).is_none() {
+            drop(filter);
+            let copy = Arc::from(self.snapshot().clone_filter());
+            filter = self
+                .filter
+                .write()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            *filter = copy;
         }
-        let report = InsertReport {
-            accepted: keys.len(),
-            generations: fresh.generations(),
-            saturation: fresh.saturation(),
-        };
+        let filter = Arc::get_mut(&mut filter).expect("no snapshot holds a fresh copy");
+        let id = filter.filter_id();
+        let growable = filter
+            .as_growable()
+            .ok_or(InsertError::NotGrowable { id })?;
+        for key in keys {
+            growable.insert(key);
+        }
         if let Some(members) = self
             .members
             .lock()
@@ -411,20 +404,21 @@ impl TenantStore {
         {
             members.extend(keys.iter().cloned());
         }
-        *self
-            .filter
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = Arc::from(fresh);
-        Ok(report)
+        Ok(InsertReport {
+            accepted: keys.len(),
+            generations: filter.generations(),
+            saturation: filter.saturation(),
+        })
     }
 
     /// Rebuilds the tenant's filter against hints mined from the FP log
     /// and hot-swaps it in, leaving in-flight snapshot holders on the
     /// old generation.
     ///
-    /// The rebuild runs on a private copy (snapshot bytes → fresh
-    /// filter), so queries keep flowing on the serving filter for the
-    /// whole rebuild; only the final `Arc` swap takes the write lock.
+    /// The rebuild runs on a private copy of the snapshot
+    /// ([`crate::CloneFilter::clone_filter`]), so queries keep flowing on
+    /// the serving filter for the whole rebuild; only the final `Arc` swap
+    /// takes the write lock.
     /// The FP window resets on success, so the same events cannot
     /// immediately re-trigger the policy against the new generation.
     ///
@@ -460,9 +454,7 @@ impl TenantStore {
         } else {
             RebuildKind::Rehash
         };
-        let mut fresh = registry::load_bytes(snapshot.to_container_bytes())
-            .map_err(RebuildError::Reload)?
-            .filter;
+        let mut fresh = snapshot.clone_filter();
         let hints = self
             .log
             .lock()
@@ -627,7 +619,6 @@ mod tests {
         let err = s.insert_keys(&members(1)).expect_err("habf cannot grow");
         match err {
             InsertError::NotGrowable { id } => assert_eq!(id, "habf"),
-            other => panic!("want NotGrowable, got {other:?}"),
         }
         assert_eq!(s.generation(), 0);
     }
@@ -651,6 +642,129 @@ mod tests {
         for k in members(64).iter().chain(&burst) {
             assert!(snap.contains(k), "zero FN after fold-back");
         }
+    }
+
+    fn late_keys(range: std::ops::Range<usize>) -> Vec<Vec<u8>> {
+        range.map(|i| format!("late:{i}").into_bytes()).collect()
+    }
+
+    /// The serving filter's address: equal across a mutation exactly when
+    /// the mutation wrote it in place.
+    fn serving(s: &TenantStore) -> *const () {
+        Arc::as_ptr(&s.snapshot()).cast()
+    }
+
+    #[test]
+    fn insert_writes_in_place_while_no_snapshot_is_held() {
+        let s = scalable_store(64);
+        let before = serving(&s);
+        let burst = late_keys(0..512);
+        let report = s.insert_keys(&burst).expect("growable tenant");
+        assert!(report.generations > 1, "the burst must open tiers");
+        assert_eq!(
+            serving(&s),
+            before,
+            "an unshared filter is written in place"
+        );
+        let snap = s.snapshot();
+        assert!(members(64).iter().chain(&burst).all(|k| snap.contains(k)));
+    }
+
+    /// A held snapshot is never written: an INSERT that opens a tier and a
+    /// REBUILD each leave it re-encoding to the same bytes, and the new
+    /// snapshot answers every acknowledged key.
+    #[test]
+    fn held_snapshots_survive_inserts_and_rebuilds_unchanged() {
+        let s = scalable_store(64);
+        let held = s.snapshot();
+        let image = held.to_container_bytes();
+        let burst = late_keys(0..16);
+        let report = s.insert_keys(&burst).expect("growable tenant");
+        assert!(report.generations > held.generations(), "must open a tier");
+        assert_eq!(held.to_container_bytes(), image, "INSERT wrote a snapshot");
+        assert_ne!(serving(&s), Arc::as_ptr(&held).cast(), "INSERT must copy");
+
+        let grown = s.snapshot();
+        let grown_image = grown.to_container_bytes();
+        s.rebuild_now(5, 64).expect("fold");
+        assert_eq!(
+            grown.to_container_bytes(),
+            grown_image,
+            "REBUILD wrote a snapshot"
+        );
+        assert_eq!(held.to_container_bytes(), image);
+        let snap = s.snapshot();
+        assert!(members(64).iter().chain(&burst).all(|k| snap.contains(k)));
+    }
+
+    /// Readers sweep every acknowledged key, holding snapshots for random
+    /// spans, while a writer inserts through several tier openings and
+    /// rebuilds: no read may ever miss an acknowledged key.
+    #[test]
+    fn readers_see_every_acknowledged_key_across_inserts_and_rebuilds() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+
+        let s = scalable_store(64);
+        let keys = late_keys(0..3_000);
+        let acked = AtomicU64::new(0);
+        let done = AtomicBool::new(false);
+        let start = Barrier::new(4);
+        let mut openings = 0;
+        std::thread::scope(|scope| {
+            for reader in 0..3u64 {
+                let (s, keys, acked, done, start) = (&s, &keys, &acked, &done, &start);
+                scope.spawn(move || {
+                    let mut rng = habf_util::Xoshiro256::new(reader);
+                    let mut held: Option<(Arc<dyn DynFilter>, usize)> = None;
+                    start.wait();
+                    while !done.load(Ordering::Acquire) {
+                        let n = acked.load(Ordering::Acquire) as usize;
+                        let probe: Vec<&[u8]> = keys[..n].iter().map(Vec::as_slice).collect();
+                        assert!(
+                            s.contains_batch(&probe).iter().all(|&b| b),
+                            "FN under mutation"
+                        );
+                        if let Some((snap, n)) = &held {
+                            assert!(keys[..*n].iter().all(|k| snap.contains(k)), "held FN");
+                        }
+                        match rng.next_index(4) {
+                            0 => held = None,
+                            // `n` was read before this snapshot was taken.
+                            1 => held = Some((s.snapshot(), n)),
+                            _ => {}
+                        }
+                    }
+                });
+            }
+            start.wait();
+            for (i, chunk) in keys.chunks(16).enumerate() {
+                let tiers = s.stats().tiers;
+                let report = s.insert_keys(chunk).expect("growable tenant");
+                openings += usize::from(report.generations > tiers);
+                acked.fetch_add(chunk.len() as u64, Ordering::Release);
+                if i % 60 == 59 {
+                    s.rebuild_now(i as u64, 64).expect("fold");
+                }
+            }
+            done.store(true, Ordering::Release);
+        });
+        assert!(openings >= 3, "only {openings} tier openings");
+        let snap = s.snapshot();
+        assert!(keys.iter().all(|k| snap.contains(k)));
+    }
+
+    /// Regression: two FEEDBACK events at 1e308 summed to an infinite
+    /// wasted cost, so STATS emitted `"wasted_cost":inf` (not JSON) and
+    /// every later REBUILD failed on the infinite mined hint.
+    #[test]
+    fn huge_feedback_costs_keep_stats_json_and_rebuilds_working() {
+        let s = store(200);
+        s.record_fp(b"ghost", 1e308);
+        s.record_fp(b"ghost", 1e308);
+        let json = s.stats().to_json();
+        assert!(!json.contains("inf") && !json.contains("NaN"), "{json}");
+        s.rebuild_now(3, 64).expect("rebuild after huge feedback");
     }
 
     #[test]

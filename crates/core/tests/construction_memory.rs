@@ -32,6 +32,7 @@ fn construction_and_refused_mutations_stay_within_their_memory_bounds() {
     let none: [(&[u8], f64); 0] = [];
     let mut stack = ScalableHabf::build(&members, &none, &HabfConfig::with_total_bits(655_360));
     assert_eq!(stack.generations(), 1);
+    let full_stack = stack.clone();
     let ((), peak) = TrackingAllocator::measure(|| stack.insert(b"late:0"));
     assert_eq!(stack.generations(), 2, "the insert must open a tier");
     let tier_bytes = stack.tier(1).space_bits() / 8;
@@ -58,6 +59,29 @@ fn construction_and_refused_mutations_stay_within_their_memory_bounds() {
         negatives.len()
     );
     drop(filter);
+
+    // An INSERT copies the filter only while a snapshot holds it. The
+    // warm-up opens a tier and grows the member list, so the measured
+    // INSERTs below do neither.
+    let tenant = TenantStore::new("t", Box::new(full_stack), AdaptPolicy::cost_threshold(1.0))
+        .with_members(members.clone());
+    let warm_up = tenant.insert_keys(&keys(1, "warm")).expect("growable");
+    assert_eq!(warm_up.generations, 2, "the warm-up must open a tier");
+    let image_bytes = tenant.snapshot().to_container_bytes().len();
+    let late = keys(16, "late");
+    let (_, peak) = TrackingAllocator::measure(|| tenant.insert_keys(&late));
+    assert!(
+        peak * 100 < image_bytes,
+        "an unshared 16-key INSERT into a {image_bytes}-byte image peaked at {peak} bytes"
+    );
+    let held = tenant.snapshot();
+    let later = keys(16, "later");
+    let (_, peak) = TrackingAllocator::measure(|| tenant.insert_keys(&later));
+    assert!(
+        peak * 2 < image_bytes * 3,
+        "a 16-key INSERT beside a held snapshot of a {image_bytes}-byte image peaked at {peak} bytes"
+    );
+    drop((held, tenant));
 
     // Refused mutations answer before copying the filter.
     let big = keys(100_000, "user");

@@ -143,10 +143,10 @@ impl Run {
     /// Rebuilds this run's filter in place with fresh hints — the
     /// adaptation loop's per-run step. A filter exposing the
     /// [`habf_core::Rebuildable`] capability is rebuilt at its exact
-    /// geometry (sharded filters go shard-by-shard through their
-    /// copy-on-write path, so readers holding shard handles keep their
-    /// snapshots); anything else is rebuilt from scratch through the
-    /// spec.
+    /// geometry (a sharded filter shard by shard); anything else is
+    /// rebuilt from scratch through the spec. The store owns its runs
+    /// and no reader holds a run's filter across the call, so nothing
+    /// is copied.
     pub fn rebuild_filter(&mut self, spec: Option<&FilterSpec>, hints: &[(Vec<u8>, f64)]) {
         if let (Some(spec), Some(filter)) = (spec, self.filter.as_mut()) {
             if !self.entries.is_empty() {

@@ -438,8 +438,7 @@ impl Lsm {
 
     /// Rebuilds every run's filter with the current hints — operator hints
     /// merged with hints freshly mined from the FP log — re-running TPJO
-    /// per run (per shard, copy-on-write, for sharded filters: concurrent
-    /// readers of shard handles keep their snapshots). Increments
+    /// per run (per shard, for sharded filters). Increments
     /// [`IoStats::rebuilds`] and resets the FP-log window so the same
     /// events cannot immediately re-trigger. Returns the number of runs
     /// whose filter was rebuilt.
@@ -1104,6 +1103,21 @@ mod tests {
         assert_eq!(db.io_stats().rebuilds, 1, "threshold crossing must fire");
         // The window reset after the rebuild.
         assert!(db.mined_hints().is_empty());
+    }
+
+    /// Regression: two misses reported at 1e308 mined an infinite hint,
+    /// and the next flush panicked building its run filter.
+    #[test]
+    fn huge_reported_miss_costs_do_not_break_the_next_flush() {
+        let mut db = store(Some(FilterSpec::habf().bits_per_key(10.0)));
+        db.enable_adaptation(AdaptConfig::default());
+        db.report_miss(b"app-observed", 1e308);
+        db.report_miss(b"app-observed", 1e308);
+        for i in 0..400 {
+            db.put(key(i), b"v".to_vec());
+        }
+        db.flush();
+        assert!((0..400).all(|i| db.get(&key(i)).is_some()));
     }
 
     #[test]

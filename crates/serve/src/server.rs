@@ -315,7 +315,6 @@ pub(crate) fn handle_frame(frame: &Frame, tenants: &TenantTable, allow_shutdown:
                 Err(e @ habf_core::tenant::InsertError::NotGrowable { .. }) => {
                     error_frame(error_code::NOT_GROWABLE, &e.to_string())
                 }
-                Err(e) => error_frame(error_code::BAD_FRAME, &e.to_string()),
             }
         }
         Request::Shutdown => Frame {
