@@ -30,6 +30,7 @@ pub const PROBE_IDS: &[&str] = &[
     "blocked-bloom",
     "blocked-habf",
     "binary-fuse",
+    "scalable-habf",
 ];
 
 /// Best-of-reps for each throughput figure; probes dominate wall-clock,

@@ -185,7 +185,7 @@ impl BlockedHabf {
     /// Panics on a degenerate configuration (see [`HabfConfig::validate`]).
     #[must_use]
     pub fn build(
-        positives: &[impl AsRef<[u8]>],
+        positives: &[impl AsRef<[u8]> + Sync],
         negatives: &[(impl AsRef<[u8]>, f64)],
         config: &HabfConfig,
     ) -> Self {
@@ -203,7 +203,7 @@ impl BlockedHabf {
     /// Panics on a degenerate configuration.
     #[must_use]
     pub fn build_with(
-        positives: &[impl AsRef<[u8]>],
+        positives: &[impl AsRef<[u8]> + Sync],
         negatives: &[(impl AsRef<[u8]>, f64)],
         config: &HabfConfig,
         selector: HashFunction,
@@ -295,7 +295,7 @@ impl BlockedHabf {
     /// The calibrated selector is part of the geometry and is preserved.
     pub fn rebuild(
         &mut self,
-        positives: &[impl AsRef<[u8]>],
+        positives: &[impl AsRef<[u8]> + Sync],
         negatives: &[(impl AsRef<[u8]>, f64)],
         seed: u64,
     ) {

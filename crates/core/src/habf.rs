@@ -180,7 +180,7 @@ impl Habf {
     /// or an infeasible one (see [`tpjo::run`]).
     #[must_use]
     pub fn build(
-        positives: &[impl AsRef<[u8]>],
+        positives: &[impl AsRef<[u8]> + Sync],
         negatives: &[(impl AsRef<[u8]>, f64)],
         config: &HabfConfig,
     ) -> Self {
@@ -231,7 +231,7 @@ impl Habf {
     /// their answers.
     pub fn rebuild(
         &mut self,
-        positives: &[impl AsRef<[u8]>],
+        positives: &[impl AsRef<[u8]> + Sync],
         negatives: &[(impl AsRef<[u8]>, f64)],
         seed: u64,
     ) {
@@ -458,7 +458,7 @@ impl FHabf {
     /// or an infeasible one (see [`tpjo::run`]).
     #[must_use]
     pub fn build(
-        positives: &[impl AsRef<[u8]>],
+        positives: &[impl AsRef<[u8]> + Sync],
         negatives: &[(impl AsRef<[u8]>, f64)],
         config: &HabfConfig,
     ) -> Self {
@@ -493,7 +493,7 @@ impl FHabf {
     /// geometry (see [`Habf::rebuild`]).
     pub fn rebuild(
         &mut self,
-        positives: &[impl AsRef<[u8]>],
+        positives: &[impl AsRef<[u8]> + Sync],
         negatives: &[(impl AsRef<[u8]>, f64)],
         seed: u64,
     ) {

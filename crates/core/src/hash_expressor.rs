@@ -28,6 +28,7 @@
 //! because the "maximized overlap" tie-break among candidate selections
 //! needs each plan's shared-cell count (paper §III-D, example).
 
+use crate::MAX_K;
 use habf_hashing::{xxhash, HashId, HashProvider, EMPTY_HASH_ID};
 use habf_util::{PackedCells, Xoshiro256};
 
@@ -60,6 +61,22 @@ impl InsertPlan {
     }
 }
 
+/// A retrieved subset, held inline so round 2 of a query allocates
+/// nothing. Derefs to the ids in chain order.
+#[derive(Clone, Copy, Debug)]
+pub struct Chain {
+    ids: [HashId; MAX_K],
+    len: usize,
+}
+
+impl core::ops::Deref for Chain {
+    type Target = [HashId];
+
+    fn deref(&self) -> &[HashId] {
+        &self.ids[..self.len]
+    }
+}
+
 /// The packed cell table.
 #[derive(Clone, Debug)]
 pub struct HashExpressor {
@@ -74,7 +91,8 @@ impl HashExpressor {
     /// length `k`.
     ///
     /// # Panics
-    /// Panics if `omega == 0`, `cell_bits` is not in `2..=16`, or `k == 0`.
+    /// Panics if `omega == 0`, `cell_bits` is not in `2..=16`, or `k` is
+    /// not in `1..=MAX_K`.
     #[must_use]
     pub fn new(omega: usize, cell_bits: u32, k: usize) -> Self {
         assert!(omega > 0, "HashExpressor needs at least one cell");
@@ -82,7 +100,10 @@ impl HashExpressor {
             (2..=16).contains(&cell_bits),
             "cell size {cell_bits} not in 2..=16"
         );
-        assert!(k > 0, "chains need at least one hash");
+        assert!(
+            (1..=MAX_K).contains(&k),
+            "chain length {k} not in 1..={MAX_K}"
+        );
         Self {
             cells: PackedCells::new(omega, cell_bits),
             cell_bits,
@@ -228,11 +249,16 @@ impl HashExpressor {
 
     /// Retrieves the stored subset for `key`, or `None` when the key keeps
     /// `H0` (empty cell on the chain, or the final cell's endbit unset).
+    /// The subset comes back inline, so a query's round 2 allocates
+    /// nothing.
     #[must_use]
-    pub fn query<P: HashProvider>(&self, key: &[u8], provider: &P) -> Option<Vec<HashId>> {
+    pub fn query<P: HashProvider>(&self, key: &[u8], provider: &P) -> Option<Chain> {
         let omega = self.cells.len();
         let mut pos = self.f_cell(key);
-        let mut phi = Vec::with_capacity(self.k);
+        let mut phi = Chain {
+            ids: [EMPTY_HASH_ID; MAX_K],
+            len: 0,
+        };
         for step in 0..self.k {
             // `pos` is reduced modulo `omega`, so the bounds-masked probe
             // is exact and keeps the panic branch out of the query loop.
@@ -241,7 +267,8 @@ impl HashExpressor {
                 return None;
             }
             let h = (value & self.index_mask()) as HashId;
-            phi.push(h);
+            phi.ids[step] = h;
+            phi.len = step + 1;
             if step + 1 == self.k {
                 if value & self.endbit_mask() != 0 {
                     return Some(phi);
@@ -271,7 +298,10 @@ impl HashExpressor {
     /// Panics if the parts are inconsistent (see [`Self::new`]).
     #[must_use]
     pub fn from_parts(cells: PackedCells, k: usize, inserted: usize) -> Self {
-        assert!(k > 0, "chains need at least one hash");
+        assert!(
+            (1..=MAX_K).contains(&k),
+            "chain length {k} not in 1..={MAX_K}"
+        );
         let cell_bits = cells.width();
         assert!((2..=16).contains(&cell_bits), "cell size out of range");
         Self {
@@ -305,7 +335,7 @@ mod tests {
         he.commit(&plan);
         let got = he.query(key, &family).expect("stored");
         let mut want = phi.clone();
-        let mut got_sorted = got.clone();
+        let mut got_sorted = got.to_vec();
         want.sort_unstable();
         got_sorted.sort_unstable();
         assert_eq!(got_sorted, want, "recovered set differs");
@@ -390,7 +420,7 @@ mod tests {
         assert!(stored.len() > 300, "too few fits: {}", stored.len());
         for (key, phi) in &stored {
             let got = he.query(key, &family).expect("zero FNR violated");
-            let mut a = got.clone();
+            let mut a = got.to_vec();
             let mut b = phi.clone();
             a.sort_unstable();
             b.sort_unstable();

@@ -14,6 +14,7 @@
 
 use crate::blocked::BlockedHabf;
 use crate::filter_api::BatchQuery;
+use crate::scalable::ScalableHabf;
 use habf_filters::{BinaryFuseFilter, BlockedBloomFilter, BloomFilter, WeightedBloomFilter};
 
 /// Minimum keys a batch worker must receive before thread fan-out pays
@@ -94,6 +95,7 @@ impl_batch_query!(
     BlockedBloomFilter,
     BinaryFuseFilter,
     BlockedHabf,
+    ScalableHabf,
 );
 
 #[cfg(test)]

@@ -657,6 +657,10 @@ impl DynFilter for ScalableHabf {
         ScalableHabf::generations(self)
     }
 
+    fn as_batch(&self) -> Option<&dyn BatchQuery> {
+        Some(self)
+    }
+
     fn as_rebuildable(&mut self) -> Option<&mut dyn Rebuildable> {
         Some(self)
     }

@@ -10,9 +10,15 @@
 //!
 //! Inserts always land in the newest tier; when it reaches capacity the
 //! stack pushes a fresh, larger tier built *empty* (a degenerate TPJO run
-//! over no members) and keeps going. Queries probe newest-first — recent
-//! keys are the likeliest probe targets — and OR across tiers, so zero
-//! false negatives hold for every member of every generation.
+//! over no members) and keeps going. Queries OR across tiers, so zero
+//! false negatives hold for every member of every generation. They probe
+//! the tier holding the most keys first: a member is then usually
+//! answered by the first tier probed, both in a freshly grown stack
+//! (whose base holds most keys) and in a folded one (whose one big tier
+//! sits under a nearly empty growth tier). The stack keeps that order
+//! as it changes, so no probe sorts anything. The batch path
+//! ([`crate::BatchQuery`]) runs the same order through the plan-once
+//! prefetch pipeline, one tier at a time.
 //!
 //! The **autoscale knob** is `max_tiers`: when the stack reaches it, new
 //! keys overfill the top tier instead of failing the insert. That trades
@@ -67,6 +73,9 @@ struct Tier {
 #[derive(Clone)]
 pub struct ScalableHabf {
     tiers: Vec<Tier>,
+    /// Tier indices in probe order: most keys held first, ties oldest
+    /// first. Kept current by every change to the stack.
+    order: Vec<usize>,
     seed: u64,
     delta: f64,
     k: usize,
@@ -85,7 +94,7 @@ impl ScalableHabf {
     /// Panics on a degenerate configuration (see [`HabfConfig::validate`]).
     #[must_use]
     pub fn build(
-        positives: &[impl AsRef<[u8]>],
+        positives: &[impl AsRef<[u8]> + Sync],
         negatives: &[(impl AsRef<[u8]>, f64)],
         config: &HabfConfig,
     ) -> Self {
@@ -97,6 +106,7 @@ impl ScalableHabf {
                 capacity,
                 inserted: positives.len(),
             }],
+            order: vec![0],
             seed: config.seed,
             delta: config.delta,
             k: config.k,
@@ -155,10 +165,25 @@ impl ScalableHabf {
                 capacity: self.base_capacity << index.min(63),
                 inserted: 0,
             });
+            // Empty and newest: last in probe order.
+            self.order.push(index);
         }
-        let top = self.tiers.last_mut().expect("stack is never empty");
-        top.filter.insert(key);
-        top.inserted += 1;
+        let top = self.tiers.len() - 1;
+        let tier = &mut self.tiers[top];
+        tier.filter.insert(key);
+        tier.inserted += 1;
+        // The top tier moves ahead of every tier it now holds more keys
+        // than; one step per key, so no insert sorts the stack.
+        let held = tier.inserted;
+        let mut at = self
+            .order
+            .iter()
+            .position(|&i| i == top)
+            .expect("every tier is in the probe order");
+        while at > 0 && self.tiers[self.order[at - 1]].inserted < held {
+            self.order.swap(at - 1, at);
+            at -= 1;
+        }
     }
 
     /// Newest-tier fill over its design capacity — the growth pressure
@@ -228,7 +253,7 @@ impl ScalableHabf {
     /// member set) and `negatives` (preserved mined hints).
     pub fn fold_rebuild(
         &mut self,
-        positives: &[impl AsRef<[u8]>],
+        positives: &[impl AsRef<[u8]> + Sync],
         negatives: &[(impl AsRef<[u8]>, f64)],
         seed: u64,
     ) {
@@ -248,6 +273,59 @@ impl ScalableHabf {
             capacity,
             inserted: positives.len(),
         }];
+        self.order = vec![0];
+    }
+
+    /// Batch membership in input order: the answers
+    /// [`Filter::contains`] gives, through the plan-once prefetch
+    /// pipeline. Per [`habf_filters::PROBE_CHUNK`] keys, each tier in
+    /// probe order plans the round-1 positions of the keys no earlier
+    /// tier accepted ([`Habf::plan_round1`]), then tests them
+    /// ([`Habf::contains_planned`]); the keys it rejects go on to the
+    /// next tier.
+    pub(crate) fn contains_batch_into(&self, keys: &[&[u8]], out: &mut Vec<bool>) {
+        out.clear();
+        out.resize(keys.len(), false);
+        let prefetch = habf_util::prefetch::enabled();
+        let mut pending: Vec<usize> = Vec::with_capacity(habf_filters::PROBE_CHUNK);
+        let mut plan: Vec<usize> = Vec::new();
+        let mut plan_ends: Vec<usize> = Vec::with_capacity(habf_filters::PROBE_CHUNK);
+        for (chunk, answers) in keys
+            .chunks(habf_filters::PROBE_CHUNK)
+            .zip(out.chunks_mut(habf_filters::PROBE_CHUNK))
+        {
+            if prefetch {
+                for key in chunk {
+                    habf_util::prefetch::prefetch_bytes(key);
+                }
+            }
+            pending.clear();
+            pending.extend(0..chunk.len());
+            for &t in &self.order {
+                let tier = &self.tiers[t].filter;
+                plan.clear();
+                plan_ends.clear();
+                for &i in &pending {
+                    tier.plan_round1(chunk[i], &mut plan, prefetch);
+                    plan_ends.push(plan.len());
+                }
+                let (mut from, mut kept) = (0, 0);
+                for j in 0..pending.len() {
+                    let (i, to) = (pending[j], plan_ends[j]);
+                    if tier.contains_planned(chunk[i], &plan[from..to]) {
+                        answers[i] = true;
+                    } else {
+                        pending[kept] = i;
+                        kept += 1;
+                    }
+                    from = to;
+                }
+                pending.truncate(kept);
+                if pending.is_empty() {
+                    break;
+                }
+            }
+        }
     }
 
     /// Rebuilds a stack from decoded parts (the v2 codec's and the v1
@@ -267,11 +345,14 @@ impl ScalableHabf {
 }
 
 impl Filter for ScalableHabf {
-    /// ORs the two-round query across generations, newest first (recent
-    /// keys are the likeliest probes). Zero FN: every member was
-    /// inserted into exactly one tier and that tier answers true.
+    /// ORs the two-round query across generations, the tier holding the
+    /// most keys first (a member is likeliest there). Zero FN: every
+    /// member was inserted into exactly one tier and that tier answers
+    /// true.
     fn contains(&self, key: &[u8]) -> bool {
-        self.tiers.iter().rev().any(|t| t.filter.contains(key))
+        self.order
+            .iter()
+            .any(|&i| self.tiers[i].filter.contains(key))
     }
 
     fn space_bits(&self) -> usize {
@@ -320,8 +401,12 @@ impl GrowthParams {
     }
 
     fn assemble(self, tiers: Vec<Tier>) -> ScalableHabf {
+        // A stable sort keeps equal tiers oldest first, as inserts do.
+        let mut order: Vec<usize> = (0..tiers.len()).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(tiers[i].inserted));
         ScalableHabf {
             tiers,
+            order,
             seed: self.seed,
             delta: self.delta,
             k: self.k,
@@ -442,6 +527,22 @@ mod tests {
                 "tier {i} budget must not tighten in space: {bpk} vs {bpk_prev}"
             );
         }
+    }
+
+    #[test]
+    fn probe_order_puts_the_fullest_tier_first() {
+        let mut f = sample(100);
+        for k in keys(100..1000) {
+            f.insert(&k);
+            // Each insert keeps the order a fresh sort (as on load) gives.
+            let mut sorted: Vec<usize> = (0..f.generations()).collect();
+            sorted.sort_by_key(|&i| std::cmp::Reverse(f.tier_inserted(i)));
+            assert_eq!(f.order, sorted);
+        }
+        assert_ne!(f.order[0], 0, "the grown tiers outhold the base");
+        f.fold_rebuild(&keys(0..1000), &[] as &[(Vec<u8>, f64)], 7);
+        f.insert(b"late");
+        assert_eq!(f.order, [0, 1], "the folded tier goes first");
     }
 
     #[test]

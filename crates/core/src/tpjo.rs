@@ -131,7 +131,7 @@ struct NegState {
 /// Panics on an infeasible configuration (`k` larger than the provider,
 /// ids not addressable, `m == 0`).
 pub fn run<P: HashProvider>(
-    positives: &[impl AsRef<[u8]>],
+    positives: &[impl AsRef<[u8]> + Sync],
     negatives: &[(impl AsRef<[u8]>, f64)],
     provider: &P,
     config: &TpjoConfig,
@@ -179,16 +179,18 @@ pub fn run<P: HashProvider>(
     let unit_of = |p: u32| units.unit(p as usize).expect("negative position is a unit");
 
     // ---- Initialization: insert S with H0, build the Bloom array and V.
-    let mut bloom = BitVec::new(m);
+    let (words, hits) = member_pass(
+        positives,
+        provider,
+        &h0,
+        m,
+        &units,
+        member_threads(positives.len()),
+    );
+    let mut bloom = BitVec::from_words(words, m);
     let mut v = VIndex::new(units.len());
-    for (idx, key) in positives.iter().enumerate() {
-        positions_batch(provider, key.as_ref(), &h0, m, &mut scratch);
-        for &p in &scratch {
-            bloom.set(p as usize);
-            if let Some(u) = units.unit(p as usize) {
-                v.insert(u, idx as u32);
-            }
-        }
+    for (unit, idx) in hits {
+        v.insert(unit as usize, idx);
     }
 
     // ---- Classify O into collision keys and optimized keys.
@@ -410,6 +412,122 @@ pub fn run<P: HashProvider>(
         he,
         h0,
         stats,
+    }
+}
+
+/// Fewest members one thread of the member pass hashes. Below this a
+/// thread costs more to start than the hashing it takes over.
+const MIN_MEMBERS_PER_THREAD: usize = 1 << 16;
+
+/// Most threads the member pass runs on. Each thread past the first
+/// fills a private `m/8`-byte Bloom array, so this caps the pass's
+/// scratch at three Bloom arrays however wide the machine is.
+const MAX_MEMBER_THREADS: usize = 4;
+
+/// Threads for a member pass over `members` keys: one per
+/// [`MIN_MEMBERS_PER_THREAD`] members, at most one per core and at most
+/// [`MAX_MEMBER_THREADS`].
+fn member_threads(members: usize) -> usize {
+    let wanted = (members / MIN_MEMBERS_PER_THREAD).min(MAX_MEMBER_THREADS);
+    if wanted <= 1 {
+        return 1; // skips the core count, which reads cgroup files
+    }
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    wanted.min(cores).max(1)
+}
+
+/// TPJO's member pass: hashes every positive under `H0` into the Bloom
+/// words it returns, with each `(unit, member index)` hit on a unit in
+/// member order — the order a sequential pass would insert them into `V`.
+///
+/// `threads` contiguous member ranges are hashed at once. The caller's
+/// thread takes the first range into the returned words, each other range
+/// fills a private word array on a scoped thread, and the arrays are
+/// OR-ed in. The hits are concatenated in range order, so `V` and the
+/// Bloom words come out exactly as one thread makes them. A range whose
+/// thread cannot be started runs on the caller's thread.
+fn member_pass<P: HashProvider>(
+    positives: &[impl AsRef<[u8]> + Sync],
+    provider: &P,
+    h0: &[HashId],
+    m: usize,
+    units: &Units,
+    threads: usize,
+) -> (Vec<u64>, Vec<(u32, u32)>) {
+    let hasher = MemberHasher {
+        provider,
+        h0,
+        m,
+        units,
+    };
+    let mut words = vec![0u64; m.div_ceil(64)];
+    let mut hits = Vec::new();
+    let chunk = positives.len().div_ceil(threads.max(1)).max(1);
+    let mut ranges = positives.chunks(chunk).enumerate();
+    let Some((_, mine)) = ranges.next() else {
+        return (words, hits);
+    };
+    std::thread::scope(|s| {
+        let hasher = &hasher;
+        let spawned: Vec<_> = ranges
+            .map(|(i, range)| {
+                let first = i * chunk;
+                let mut private = vec![0u64; words.len()];
+                let handle = std::thread::Builder::new()
+                    .spawn_scoped(s, move || {
+                        let mut hits = Vec::new();
+                        hasher.hash(first, range, &mut private, &mut hits);
+                        (private, hits)
+                    })
+                    .ok();
+                (first, range, handle)
+            })
+            .collect();
+        hasher.hash(0, mine, &mut words, &mut hits);
+        for (first, range, handle) in spawned {
+            match handle {
+                Some(handle) => {
+                    let (private, mut part) = handle.join().expect("member pass worker panicked");
+                    for (w, p) in words.iter_mut().zip(&private) {
+                        *w |= p;
+                    }
+                    hits.append(&mut part);
+                }
+                None => hasher.hash(first, range, &mut words, &mut hits),
+            }
+        }
+    });
+    (words, hits)
+}
+
+/// What one member-pass range needs besides its keys.
+struct MemberHasher<'a, P> {
+    provider: &'a P,
+    h0: &'a [HashId],
+    m: usize,
+    units: &'a Units,
+}
+
+impl<P: HashProvider> MemberHasher<'_, P> {
+    /// Sets the `H0` bits of `members` (member indices from `first`) in
+    /// `words`, and appends their unit hits to `hits`.
+    fn hash(
+        &self,
+        first: usize,
+        members: &[impl AsRef<[u8]>],
+        words: &mut [u64],
+        hits: &mut Vec<(u32, u32)>,
+    ) {
+        let mut positions: Vec<u32> = Vec::with_capacity(self.h0.len());
+        for (idx, key) in (first..).zip(members) {
+            positions_batch(self.provider, key.as_ref(), self.h0, self.m, &mut positions);
+            for &p in &positions {
+                words[p as usize / 64] |= 1 << (p % 64);
+                if let Some(u) = self.units.unit(p as usize) {
+                    hits.push((u as u32, idx as u32));
+                }
+            }
+        }
     }
 }
 
@@ -674,6 +792,38 @@ mod tests {
         assert_eq!(out.stats.requeued, 0);
         for k in &pos {
             assert!(query(&out, &provider, k, 3));
+        }
+    }
+
+    #[test]
+    fn threaded_member_pass_equals_the_sequential_pass() {
+        let provider = HashFamily::with_size(7);
+        let h0: Vec<HashId> = vec![2, 5, 7];
+        // Duplicates, and a small array, so units are hit by many keys.
+        let mut pos = keys(3_000, "pos");
+        pos.extend(keys(1_000, "pos"));
+        let m = 4_000 * 2;
+        let negatives = keys(1_000, "neg");
+        let mut neg_positions = Vec::new();
+        let mut scratch = Vec::new();
+        for key in &negatives {
+            positions_batch(&provider, key, &h0, m, &mut scratch);
+            neg_positions.extend_from_slice(&scratch);
+        }
+        let units = Units::new(m, &neg_positions);
+        let (words, hits) = member_pass(&pos, &provider, &h0, m, &units, 1);
+        let mut per_unit = vec![0usize; units.len()];
+        for &(u, _) in &hits {
+            per_unit[u as usize] += 1;
+        }
+        assert!(
+            per_unit.iter().any(|&n| n > 2),
+            "no unit hit by several keys"
+        );
+        for threads in [2, 3, 8] {
+            let (w, h) = member_pass(&pos, &provider, &h0, m, &units, threads);
+            assert!(w == words, "{threads} threads changed the Bloom words");
+            assert!(h == hits, "{threads} threads changed the hit sequence");
         }
     }
 

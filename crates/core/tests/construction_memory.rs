@@ -60,6 +60,25 @@ fn construction_and_refused_mutations_stay_within_their_memory_bounds() {
     );
     drop(filter);
 
+    // Past two threads' worth of members the member pass splits, and
+    // each thread past the first fills a private Bloom array. That
+    // scratch must fit the same bounds.
+    let many = keys(1 << 18, "member");
+    let config = HabfConfig::with_total_bits(10 * many.len());
+    let (filter, peak) = TrackingAllocator::measure(|| Habf::build(&many, &negatives, &config));
+    let bound = BUILD_BYTES_PER_MEMBER * many.len() + BUILD_BYTES_PER_NEGATIVE * negatives.len();
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    assert!(
+        peak < bound,
+        "Habf::build over {} members peaked at {peak} bytes (bound {bound}, {cores} cores)",
+        many.len()
+    );
+    println!(
+        "Habf::build over {} members peaked at {peak} bytes (bound {bound}, {cores} cores)",
+        many.len()
+    );
+    drop((filter, many));
+
     // An INSERT copies the filter only while a snapshot holds it. The
     // warm-up opens a tier and grows the member list, so the measured
     // INSERTs below do neither.

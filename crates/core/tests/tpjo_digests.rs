@@ -192,11 +192,21 @@ fn cases() -> Vec<(&'static str, TpjoOutput)> {
         "members_65536",
         run(&big, &big_neg, &family, &config(3, m, omega, true)),
     ));
+
+    // Enough members for a multi-threaded member pass.
+    let huge = keys(1 << 18, "member");
+    let huge_neg = skewed(1 << 12, "hint");
+    let (m, omega) = budget(huge.len(), 8);
+    out.push((
+        "members_262144",
+        run(&huge, &huge_neg, &family, &config(3, m, omega, true)),
+    ));
     out
 }
 
 /// Digests recorded from the optimizer as it stood before its runtime
-/// indexes were resized to the negatives.
+/// indexes were resized to the negatives; `members_262144` was recorded
+/// from the optimizer as it stood before its member pass was threaded.
 const EXPECTED: &[(&str, u64)] = &[
     ("gamma_on_b4", 0xbae6c45a7b9276e1),
     ("gamma_off_b4", 0xa27e522b701a71ad),
@@ -218,6 +228,7 @@ const EXPECTED: &[(&str, u64)] = &[
     ("blocked_family", 0x0ab5b67c702a7265),
     ("simulated_family_gamma_off", 0x756de9e963023372),
     ("members_65536", 0x40cf8759872af101),
+    ("members_262144", 0xc54adc257e8db43c),
 ];
 
 #[test]

@@ -159,8 +159,9 @@ impl HashFunction {
 /// HABF draws per-key subsets from a *real* [`HashFamily`]; f-HABF draws
 /// them from a [`crate::double::SimulatedFamily`] that synthesizes members
 /// by double hashing (paper Section III-G). Both implement this trait so
-/// the core TPJO algorithm is written once.
-pub trait HashProvider {
+/// the core TPJO algorithm is written once. Providers are `Sync`, because
+/// TPJO's member pass hashes disjoint key ranges on several threads.
+pub trait HashProvider: Sync {
     /// Number of addressable functions; valid ids are `1..=len()`.
     fn len(&self) -> usize;
 

@@ -95,7 +95,7 @@ proptest! {
         for (key, phi) in &stored {
             let got = he.query(key, &family);
             prop_assert!(got.is_some(), "stored chain lost for {:?}", key);
-            let mut got = got.unwrap();
+            let mut got = got.unwrap().to_vec();
             let mut want = phi.clone();
             got.sort_unstable();
             want.sort_unstable();
