@@ -863,12 +863,18 @@ struct NoBlockInReactor;
 
 /// Blocking calls that must never appear in reactor event-loop code:
 /// each one parks the worker thread and stalls every connection it owns.
-const BLOCKING_CALLS: [(&str, &str); 4] = [
+const BLOCKING_CALLS: [(&str, &str); 5] = [
     (".read_exact(", "`.read_exact(...)`"),
     (".write_all(", "`.write_all(...)`"),
     (".lock()", "`.lock()`"),
     (".recv()", "`.recv()`"),
+    (REBUILD_CALL.0, REBUILD_CALL.1),
 ];
+
+/// A tenant rebuild: a full TPJO build over the members, O(filter size).
+/// It blocks the worker two calls deep, so the rule also looks for it in
+/// the request handler the workers call (`server.rs`'s `handle_frame`).
+const REBUILD_CALL: (&str, &str) = (".rebuild_now(", "`.rebuild_now(...)` (O(filter) work)");
 
 impl Rule for NoBlockInReactor {
     fn id(&self) -> &'static str {
@@ -876,14 +882,31 @@ impl Rule for NoBlockInReactor {
     }
     fn description(&self) -> &'static str {
         "reactor event-loop code stays nonblocking: no read_exact/write_all/\
-         lock/recv/sleep on a worker path"
+         lock/recv/sleep on a worker path, and no rebuild_now in it or in \
+         the request handler it calls"
     }
     fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
-        for f in ws
-            .files()
-            .iter()
-            .filter(|f| f.rel.ends_with("reactor.rs") && f.rel.contains("/src/"))
-        {
+        let in_src = |f: &&SourceFile, name: &str| f.rel.ends_with(name) && f.rel.contains("/src/");
+        for f in ws.files().iter().filter(|f| in_src(f, "server.rs")) {
+            for item in f.fns().iter().filter(|item| item.name == "handle_frame") {
+                if f.in_test(item.body.start) {
+                    continue;
+                }
+                let (pat, label) = REBUILD_CALL;
+                for pos in occurrences(f, &item.body, pat) {
+                    out.push(Finding {
+                        rule: self.id(),
+                        file: f.rel.clone(),
+                        line: f.line_of(pos),
+                        message: format!(
+                            "blocking {label} in request handler `{}`, which reactor workers call",
+                            item.name
+                        ),
+                    });
+                }
+            }
+        }
+        for f in ws.files().iter().filter(|f| in_src(f, "reactor.rs")) {
             for item in f.fns() {
                 if f.in_test(item.body.start) {
                     continue;
@@ -891,12 +914,7 @@ impl Rule for NoBlockInReactor {
                 let b = f.masked.as_bytes();
                 let body = item.body.clone();
                 for (pat, label) in BLOCKING_CALLS {
-                    let mut i = body.start;
-                    while let Some(pos) = find_sub(b, pat.as_bytes(), i) {
-                        if pos >= body.end {
-                            break;
-                        }
-                        i = pos + pat.len();
+                    for pos in occurrences(f, &body, pat) {
                         out.push(Finding {
                             rule: self.id(),
                             file: f.rel.clone(),
@@ -924,4 +942,19 @@ impl Rule for NoBlockInReactor {
             }
         }
     }
+}
+
+/// Offsets of every `pat` in the masked source within `body`.
+fn occurrences(f: &SourceFile, body: &std::ops::Range<usize>, pat: &str) -> Vec<usize> {
+    let b = f.masked.as_bytes();
+    let mut found = Vec::new();
+    let mut i = body.start;
+    while let Some(pos) = find_sub(b, pat.as_bytes(), i) {
+        if pos >= body.end {
+            break;
+        }
+        found.push(pos);
+        i = pos + pat.len();
+    }
+    found
 }

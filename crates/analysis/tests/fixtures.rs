@@ -104,6 +104,22 @@ fn decode_rules_cover_every_core_source_file() {
     }
 }
 
+/// A tenant rebuild is flagged in the reactor and in the request handler
+/// its workers call, where it blocks the worker one call deeper.
+#[test]
+fn rebuild_now_is_flagged_in_the_reactor_and_the_request_handler() {
+    let rep = run("no-block-in-reactor", "fires");
+    for file in ["crates/serve/src/reactor.rs", "crates/serve/src/server.rs"] {
+        assert!(
+            rep.findings
+                .iter()
+                .any(|f| f.file == file && f.message.contains("rebuild_now")),
+            "no rebuild_now finding in {file}: {:?}",
+            rep.findings
+        );
+    }
+}
+
 /// Every registry id needs a v2 fixture; only the ids frozen with the v1
 /// container also need a v1 one.
 #[test]

@@ -5,3 +5,7 @@ pub fn pump(queue: &std::sync::Mutex<Vec<u8>>) -> usize {
         Err(_) => 0,
     }
 }
+
+pub fn dispatch(store: &Tenant) -> u64 {
+    store.rebuild_now(7, 64)
+}

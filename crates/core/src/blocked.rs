@@ -299,6 +299,18 @@ impl BlockedHabf {
         negatives: &[(impl AsRef<[u8]>, f64)],
         seed: u64,
     ) {
+        *self = self.rebuilt_from(positives, negatives, seed);
+    }
+
+    /// [`BlockedHabf::rebuild`] into a fresh filter (see
+    /// `Habf::rebuilt_from`).
+    #[must_use]
+    pub fn rebuilt_from(
+        &self,
+        positives: &[impl AsRef<[u8]> + Sync],
+        negatives: &[(impl AsRef<[u8]>, f64)],
+        seed: u64,
+    ) -> Self {
         let cfg = TpjoConfig {
             k: self.h0.len(),
             m: self.bloom.len(),
@@ -311,10 +323,13 @@ impl BlockedHabf {
             overlap_tiebreak: true,
         };
         let out = tpjo::run(positives, negatives, &self.family, &cfg);
-        self.bloom = out.bloom;
-        self.he = out.he;
-        self.h0 = out.h0;
-        self.stats = out.stats;
+        Self {
+            bloom: out.bloom,
+            he: out.he,
+            h0: out.h0,
+            family: self.family.clone(),
+            stats: out.stats,
+        }
     }
 
     /// Issues a prefetch for the one cache line `key`'s Bloom probes

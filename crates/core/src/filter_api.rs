@@ -548,6 +548,29 @@ pub trait DynFilter: Filter + CloneFilter {
         None
     }
 
+    /// A fresh filter that [`Rebuildable::rebuild`] would make of a copy
+    /// of this one, over `members` and the mined `hints` at `seed`, made
+    /// without the copy: it reads only this filter's geometry and
+    /// parameters, and leaves this filter untouched. A serving tenant
+    /// rebuilds through it while readers keep probing the original.
+    /// `None` exactly when [`DynFilter::as_rebuildable`] is `None`.
+    ///
+    /// The hints merge as [`BuildInput::with_hints`] merges them, so the
+    /// result is byte-identical to the copy-and-rebuild path.
+    ///
+    /// # Errors
+    /// The inner result is [`BuildError::BadCost`] on an invalid hint
+    /// cost.
+    fn rebuilt(
+        &self,
+        members: &[Vec<u8>],
+        hints: &[(Vec<u8>, f64)],
+        seed: u64,
+    ) -> Option<Result<Box<dyn DynFilter>, BuildError>> {
+        let _ = (members, hints, seed);
+        None
+    }
+
     /// The growth capability, when this filter has one. `None` (the
     /// default) means post-build inserts must be refused with a typed
     /// error — growing a fixed-geometry filter would silently void its

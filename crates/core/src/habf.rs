@@ -235,6 +235,19 @@ impl Habf {
         negatives: &[(impl AsRef<[u8]>, f64)],
         seed: u64,
     ) {
+        *self = self.rebuilt_from(positives, negatives, seed);
+    }
+
+    /// [`Habf::rebuild`] into a fresh filter: reads only this filter's
+    /// geometry and family, so nothing of its bits is copied, and leaves
+    /// it untouched.
+    #[must_use]
+    pub fn rebuilt_from(
+        &self,
+        positives: &[impl AsRef<[u8]> + Sync],
+        negatives: &[(impl AsRef<[u8]>, f64)],
+        seed: u64,
+    ) -> Self {
         let cfg = TpjoConfig {
             k: self.h0.len(),
             m: self.bloom.len(),
@@ -247,10 +260,13 @@ impl Habf {
             overlap_tiebreak: true,
         };
         let out = tpjo::run(positives, negatives, &self.family, &cfg);
-        self.bloom = out.bloom;
-        self.he = out.he;
-        self.h0 = out.h0;
-        self.stats = out.stats;
+        Self {
+            bloom: out.bloom,
+            he: out.he,
+            h0: out.h0,
+            family: self.family.clone(),
+            stats: out.stats,
+        }
     }
 
     /// The HashExpressor occupancy `t` (chains stored).
@@ -497,6 +513,17 @@ impl FHabf {
         negatives: &[(impl AsRef<[u8]>, f64)],
         seed: u64,
     ) {
+        *self = self.rebuilt_from(positives, negatives, seed);
+    }
+
+    /// [`FHabf::rebuild`] into a fresh filter (see [`Habf::rebuilt_from`]).
+    #[must_use]
+    pub fn rebuilt_from(
+        &self,
+        positives: &[impl AsRef<[u8]> + Sync],
+        negatives: &[(impl AsRef<[u8]>, f64)],
+        seed: u64,
+    ) -> Self {
         let cfg = TpjoConfig {
             k: self.h0.len(),
             m: self.bloom.len(),
@@ -509,10 +536,13 @@ impl FHabf {
             overlap_tiebreak: true,
         };
         let out = tpjo::run(positives, negatives, &self.family, &cfg);
-        self.bloom = out.bloom;
-        self.he = out.he;
-        self.h0 = out.h0;
-        self.stats = out.stats;
+        Self {
+            bloom: out.bloom,
+            he: out.he,
+            h0: out.h0,
+            family: self.family,
+            stats: out.stats,
+        }
     }
 
     /// Where this filter's payload words live (see [`Habf::backing`]).

@@ -341,6 +341,17 @@ impl DynFilter for Habf {
     fn as_rebuildable(&mut self) -> Option<&mut dyn Rebuildable> {
         Some(self)
     }
+
+    fn rebuilt(
+        &self,
+        members: &[Vec<u8>],
+        hints: &[(Vec<u8>, f64)],
+        seed: u64,
+    ) -> Option<Result<Box<dyn DynFilter>, BuildError>> {
+        Some(rebuilt_over(hints, |negatives| {
+            self.rebuilt_from(members, negatives, seed)
+        }))
+    }
 }
 
 impl Rebuildable for Habf {
@@ -349,6 +360,19 @@ impl Rebuildable for Habf {
         Habf::rebuild(self, &input.members, &input.merged_negatives(), seed);
         Ok(())
     }
+}
+
+/// The body of every [`DynFilter::rebuilt`]: checks and merges the hints
+/// as [`Rebuildable::rebuild`] does for an input built with
+/// [`BuildInput::with_hints`], then hands them to the type's own
+/// fresh-filter rebuild.
+fn rebuilt_over<F: DynFilter + 'static>(
+    hints: &[(Vec<u8>, f64)],
+    rebuild: impl FnOnce(&[(&[u8], f64)]) -> F,
+) -> Result<Box<dyn DynFilter>, BuildError> {
+    let input = BuildInput::default().with_hints(hints);
+    input.validate_costs()?;
+    Ok(Box::new(rebuild(&input.merged_negatives())))
 }
 
 impl DynFilter for FHabf {
@@ -375,6 +399,17 @@ impl DynFilter for FHabf {
 
     fn as_rebuildable(&mut self) -> Option<&mut dyn Rebuildable> {
         Some(self)
+    }
+
+    fn rebuilt(
+        &self,
+        members: &[Vec<u8>],
+        hints: &[(Vec<u8>, f64)],
+        seed: u64,
+    ) -> Option<Result<Box<dyn DynFilter>, BuildError>> {
+        Some(rebuilt_over(hints, |negatives| {
+            self.rebuilt_from(members, negatives, seed)
+        }))
     }
 }
 
@@ -459,6 +494,17 @@ impl<F: ShardFilter + Clone + V2Shard + 'static> DynFilter for ShardedHabf<F> {
 
     fn as_rebuildable(&mut self) -> Option<&mut dyn Rebuildable> {
         Some(self)
+    }
+
+    fn rebuilt(
+        &self,
+        members: &[Vec<u8>],
+        hints: &[(Vec<u8>, f64)],
+        seed: u64,
+    ) -> Option<Result<Box<dyn DynFilter>, BuildError>> {
+        Some(rebuilt_over(hints, |negatives| {
+            self.rebuilt_from(members, negatives, seed)
+        }))
     }
 }
 
@@ -663,6 +709,18 @@ impl DynFilter for ScalableHabf {
 
     fn as_rebuildable(&mut self) -> Option<&mut dyn Rebuildable> {
         Some(self)
+    }
+
+    /// The fold-back into a fresh stack (see [`ScalableHabf::folded`]).
+    fn rebuilt(
+        &self,
+        members: &[Vec<u8>],
+        hints: &[(Vec<u8>, f64)],
+        seed: u64,
+    ) -> Option<Result<Box<dyn DynFilter>, BuildError>> {
+        Some(rebuilt_over(hints, |negatives| {
+            self.folded(members, negatives, seed)
+        }))
     }
 
     fn as_growable(&mut self) -> Option<&mut dyn Growable> {
@@ -1171,6 +1229,17 @@ impl DynFilter for BlockedHabf {
     fn as_rebuildable(&mut self) -> Option<&mut dyn Rebuildable> {
         Some(self)
     }
+
+    fn rebuilt(
+        &self,
+        members: &[Vec<u8>],
+        hints: &[(Vec<u8>, f64)],
+        seed: u64,
+    ) -> Option<Result<Box<dyn DynFilter>, BuildError>> {
+        Some(rebuilt_over(hints, |negatives| {
+            self.rebuilt_from(members, negatives, seed)
+        }))
+    }
 }
 
 impl Rebuildable for BlockedHabf {
@@ -1559,6 +1628,63 @@ mod tests {
         }
         let pruned = mined.iter().filter(|(k, _)| !filter.contains(k)).count();
         assert!(pruned > 300, "only {pruned}/400 mined misses pruned");
+    }
+
+    /// For every id, the copy-free rebuild exists exactly when the
+    /// capability does, and yields the bytes that rebuilding a copy does,
+    /// over a grown member list, with the copy's source left untouched.
+    #[test]
+    fn rebuilt_equals_rebuilding_a_copy_for_every_id() {
+        let (pos, neg) = sample();
+        let input = BuildInput::from_members(&pos).with_costed_negatives(&neg);
+        let mut members = pos.clone();
+        members.extend((0..100).map(|i| format!("late:{i}").into_bytes()));
+        let hints: Vec<(Vec<u8>, f64)> = (0..300)
+            .map(|i| {
+                (
+                    format!("hint:{}", i % 250).into_bytes(),
+                    1.0 + (i % 7) as f64,
+                )
+            })
+            .collect();
+        for e in entries() {
+            let built = FilterSpec::by_id(e.id)
+                .expect("registered id has a spec")
+                .bits_per_key(10.0)
+                .shards(2)
+                .build(&input)
+                .expect("build");
+            let image = built.to_container_bytes();
+            let mut copy = built.clone_filter();
+            let Some(rebuildable) = copy.as_rebuildable() else {
+                assert!(built.rebuilt(&members, &hints, 9).is_none(), "{}", e.id);
+                continue;
+            };
+            let rebuild_input = BuildInput::from_members(&members).with_hints(&hints);
+            rebuildable.rebuild(&rebuild_input, 9).expect("rebuild");
+            let fresh = built
+                .rebuilt(&members, &hints, 9)
+                .unwrap_or_else(|| panic!("{}: rebuildable but no rebuilt", e.id))
+                .expect("rebuilt");
+            assert_eq!(fresh.filter_id(), e.id);
+            assert!(
+                fresh.to_container_bytes() == copy.to_container_bytes(),
+                "{}: rebuilt differs from rebuilding a copy",
+                e.id
+            );
+            assert!(
+                built.to_container_bytes() == image,
+                "{}: source written",
+                e.id
+            );
+            let bad = vec![(b"x".to_vec(), f64::NAN)];
+            assert_eq!(
+                built.rebuilt(&members, &bad, 9).map(|r| r.err()),
+                Some(Some(BuildError::BadCost { index: 0 })),
+                "{}",
+                e.id
+            );
+        }
     }
 
     #[test]

@@ -257,6 +257,19 @@ impl ScalableHabf {
         negatives: &[(impl AsRef<[u8]>, f64)],
         seed: u64,
     ) {
+        *self = self.folded(positives, negatives, seed);
+    }
+
+    /// [`ScalableHabf::fold_rebuild`] into a fresh stack: reads only this
+    /// stack's growth parameters, so no tier is copied, and leaves it
+    /// untouched.
+    #[must_use]
+    pub fn folded(
+        &self,
+        positives: &[impl AsRef<[u8]> + Sync],
+        negatives: &[(impl AsRef<[u8]>, f64)],
+        seed: u64,
+    ) -> Self {
         let capacity = positives.len().max(16);
         let total_bits = ((capacity as f64 * self.base_bits_per_key()) as usize).max(256);
         let mut cfg = HabfConfig::with_total_bits(total_bits);
@@ -264,16 +277,21 @@ impl ScalableHabf {
         cfg.k = self.k;
         cfg.cell_bits = self.cell_bits;
         cfg.seed = seed;
-        let filter = Habf::build(positives, negatives, &cfg);
-        self.seed = seed;
-        self.base_capacity = capacity;
-        self.base_total_bits = total_bits;
-        self.tiers = vec![Tier {
-            filter,
-            capacity,
-            inserted: positives.len(),
-        }];
-        self.order = vec![0];
+        Self {
+            tiers: vec![Tier {
+                filter: Habf::build(positives, negatives, &cfg),
+                capacity,
+                inserted: positives.len(),
+            }],
+            order: vec![0],
+            seed,
+            delta: self.delta,
+            k: self.k,
+            cell_bits: self.cell_bits,
+            base_capacity: capacity,
+            base_total_bits: total_bits,
+            max_tiers: self.max_tiers,
+        }
     }
 
     /// Batch membership in input order: the answers

@@ -76,9 +76,9 @@ pub trait ShardFilter: Filter + Sized + Send + Sync {
     /// Builds one shard over its partition of positives and negatives.
     fn build_shard(positives: &[&[u8]], negatives: &[(&[u8], f64)], config: &HabfConfig) -> Self;
 
-    /// Re-runs the construction over fresh partition sets at this shard's
-    /// exact geometry (see [`Habf::rebuild`]).
-    fn rebuild_shard(&mut self, positives: &[&[u8]], negatives: &[(&[u8], f64)], seed: u64);
+    /// A fresh shard built over new partition sets at this shard's exact
+    /// geometry (see [`Habf::rebuilt_from`]).
+    fn rebuilt_shard(&self, positives: &[&[u8]], negatives: &[(&[u8], f64)], seed: u64) -> Self;
 
     /// Where this shard's payload words live (owned heap vs a shared or
     /// mmap'ed image view).
@@ -107,8 +107,8 @@ impl ShardFilter for Habf {
         Habf::build(positives, negatives, config)
     }
 
-    fn rebuild_shard(&mut self, positives: &[&[u8]], negatives: &[(&[u8], f64)], seed: u64) {
-        self.rebuild(positives, negatives, seed);
+    fn rebuilt_shard(&self, positives: &[&[u8]], negatives: &[(&[u8], f64)], seed: u64) -> Self {
+        self.rebuilt_from(positives, negatives, seed)
     }
 
     fn shard_backing(&self) -> habf_util::Backing {
@@ -131,8 +131,8 @@ impl ShardFilter for FHabf {
         FHabf::build(positives, negatives, config)
     }
 
-    fn rebuild_shard(&mut self, positives: &[&[u8]], negatives: &[(&[u8], f64)], seed: u64) {
-        self.rebuild(positives, negatives, seed);
+    fn rebuilt_shard(&self, positives: &[&[u8]], negatives: &[(&[u8], f64)], seed: u64) -> Self {
+        self.rebuilt_from(positives, negatives, seed)
     }
 
     fn shard_backing(&self) -> habf_util::Backing {
@@ -530,6 +530,19 @@ impl<F: ShardFilter> ShardedHabf<F> {
         negatives: &[(impl AsRef<[u8]>, f64)],
         base_seed: u64,
     ) {
+        *self = self.rebuilt_from(positives, negatives, base_seed);
+    }
+
+    /// [`ShardedHabf::rebuild_in_place`] into a fresh filter: reads only
+    /// this filter's routing and shard geometry, so no shard is copied,
+    /// and leaves it untouched.
+    #[must_use]
+    pub fn rebuilt_from(
+        &self,
+        positives: &[impl AsRef<[u8]>],
+        negatives: &[(impl AsRef<[u8]>, f64)],
+        base_seed: u64,
+    ) -> Self {
         let n = self.shards.len();
         let mut pos_parts: Vec<Vec<&[u8]>> = vec![Vec::new(); n];
         for key in positives {
@@ -541,12 +554,21 @@ impl<F: ShardFilter> ShardedHabf<F> {
             let key = key.as_ref();
             neg_parts[shard_of(key, self.splitter_seed, n)].push((key, *cost));
         }
-        for (i, shard) in self.shards.iter_mut().enumerate() {
-            let seed = base_seed.wrapping_add((i as u64).wrapping_mul(SHARD_SEED_STRIDE));
-            shard.rebuild_shard(&pos_parts[i], &neg_parts[i], seed);
+        let shards = self
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(i, shard)| {
+                let seed = base_seed.wrapping_add((i as u64).wrapping_mul(SHARD_SEED_STRIDE));
+                shard.rebuilt_shard(&pos_parts[i], &neg_parts[i], seed)
+            })
+            .collect();
+        Self {
+            shards,
+            splitter_seed: self.splitter_seed,
+            built_keys: positives.len(),
+            inserted_since_build: 0,
         }
-        self.built_keys = positives.len();
-        self.inserted_since_build = 0;
     }
 }
 

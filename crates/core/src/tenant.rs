@@ -12,7 +12,11 @@
 //! [`TenantStore::insert_keys`] writes in place only while the tenant's
 //! `Arc` is unique, and otherwise installs a private copy
 //! ([`crate::CloneFilter::clone_filter`]) first;
-//! [`TenantStore::rebuild_now`] rebuilds a copy off-lock and swaps it in.
+//! [`TenantStore::rebuild_now`] builds a fresh filter off-lock and swaps
+//! it in. The fresh filter comes from [`DynFilter::rebuilt`], which reads
+//! only the serving filter's geometry and parameters and the tenant's own
+//! member list: the rebuild copies no tier it is about to replace, and
+//! builds no key-slice vector over the members.
 //! Readers never observe a half-mutated filter; they hold either the old
 //! filter or the new one.
 //!
@@ -28,7 +32,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use crate::adapt::{AdaptPolicy, FpLog, RebuildKind};
-use crate::filter_api::{BuildError, BuildInput, DynFilter};
+use crate::filter_api::{BuildError, DynFilter};
 use crate::registry::{self, OpenError};
 
 /// Default FP-log capacity per tenant: enough to mine a meaningful hint
@@ -415,17 +419,19 @@ impl TenantStore {
     /// and hot-swaps it in, leaving in-flight snapshot holders on the
     /// old generation.
     ///
-    /// The rebuild runs on a private copy of the snapshot
-    /// ([`crate::CloneFilter::clone_filter`]), so queries keep flowing on
-    /// the serving filter for the whole rebuild; only the final `Arc` swap
-    /// takes the write lock.
+    /// The rebuild builds a fresh filter from the snapshot's geometry
+    /// ([`DynFilter::rebuilt`]) over the member list, copying neither, so
+    /// queries keep flowing on the serving filter for the whole rebuild;
+    /// only the final `Arc` swap takes the write lock. It runs for as long
+    /// as a full TPJO build over the members: a server calls it off its
+    /// event loop.
     /// The FP window resets on success, so the same events cannot
     /// immediately re-trigger the policy against the new generation.
     ///
     /// # Errors
     /// [`RebuildError::NoMembers`] without a positive set,
     /// [`RebuildError::NotRebuildable`] when the filter lacks the
-    /// capability (answered before any copy), and the underlying build
+    /// capability (answered before any work), and the underlying build
     /// error otherwise.
     pub fn rebuild_now(&self, seed: u64, max_hints: usize) -> Result<RebuildOutcome, RebuildError> {
         let _gate = self
@@ -454,17 +460,14 @@ impl TenantStore {
         } else {
             RebuildKind::Rehash
         };
-        let mut fresh = snapshot.clone_filter();
         let hints = self
             .log
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .mine_hints(max_hints);
-        let input = BuildInput::from_members(members).with_hints(&hints);
-        fresh
-            .as_rebuildable()
+        let fresh = snapshot
+            .rebuilt(members, &hints, seed)
             .ok_or(RebuildError::NotRebuildable)?
-            .rebuild(&input, seed)
             .map_err(RebuildError::Build)?;
 
         *self
@@ -500,7 +503,7 @@ impl core::fmt::Debug for TenantStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::filter_api::FilterSpec;
+    use crate::filter_api::{BuildInput, FilterSpec};
 
     fn members(n: usize) -> Vec<Vec<u8>> {
         (0..n).map(|i| format!("user:{i}").into_bytes()).collect()

@@ -436,9 +436,20 @@ fn member_threads(members: usize) -> usize {
     wanted.min(cores).max(1)
 }
 
+/// Members hashed per [`HashProvider::positions_block`] call in the
+/// member pass.
+const MEMBER_BLOCK: usize = 256;
+
 /// TPJO's member pass: hashes every positive under `H0` into the Bloom
 /// words it returns, with each `(unit, member index)` hit on a unit in
 /// member order — the order a sequential pass would insert them into `V`.
+///
+/// Each range is hashed [`MEMBER_BLOCK`] members at a time: one
+/// [`HashProvider::positions_block`] call yields the whole block's
+/// positions, and only then are its bits set and its hits recorded, in
+/// member order. Hashing a block before touching memory lets a core
+/// overlap independent keys, where a per-key loop made every bit set and
+/// unit lookup wait on that key's own hash chain.
 ///
 /// `threads` contiguous member ranges are hashed at once. The caller's
 /// thread takes the first range into the returned words, each other range
@@ -474,6 +485,7 @@ fn member_pass<P: HashProvider>(
                 let first = i * chunk;
                 let mut private = vec![0u64; words.len()];
                 let handle = std::thread::Builder::new()
+                    .name("habf-members".into())
                     .spawn_scoped(s, move || {
                         let mut hits = Vec::new();
                         hasher.hash(first, range, &mut private, &mut hits);
@@ -518,13 +530,23 @@ impl<P: HashProvider> MemberHasher<'_, P> {
         words: &mut [u64],
         hits: &mut Vec<(u32, u32)>,
     ) {
-        let mut positions: Vec<u32> = Vec::with_capacity(self.h0.len());
-        for (idx, key) in (first..).zip(members) {
-            positions_batch(self.provider, key.as_ref(), self.h0, self.m, &mut positions);
-            for &p in &positions {
-                words[p as usize / 64] |= 1 << (p % 64);
-                if let Some(u) = self.units.unit(p as usize) {
-                    hits.push((u as u32, idx as u32));
+        let k = self.h0.len();
+        let mut keys: Vec<&[u8]> = Vec::with_capacity(MEMBER_BLOCK);
+        let mut positions: Vec<u32> = Vec::with_capacity(MEMBER_BLOCK * k);
+        for (block, start) in members
+            .chunks(MEMBER_BLOCK)
+            .zip((first..).step_by(MEMBER_BLOCK))
+        {
+            keys.clear();
+            keys.extend(block.iter().map(AsRef::as_ref));
+            self.provider
+                .positions_block(&keys, self.h0, self.m, &mut positions);
+            for (idx, key_positions) in (start..).zip(positions.chunks_exact(k)) {
+                for &p in key_positions {
+                    words[p as usize / 64] |= 1 << (p % 64);
+                    if let Some(u) = self.units.unit(p as usize) {
+                        hits.push((u as u32, idx as u32));
+                    }
                 }
             }
         }
@@ -795,6 +817,30 @@ mod tests {
         }
     }
 
+    /// The member pass as one thread makes it key by key: each member's
+    /// positions from `positions_batch`, its bits and hits in order.
+    fn per_key_member_pass(
+        positives: &[Vec<u8>],
+        provider: &impl HashProvider,
+        h0: &[HashId],
+        m: usize,
+        units: &Units,
+    ) -> (Vec<u64>, Vec<(u32, u32)>) {
+        let mut words = vec![0u64; m.div_ceil(64)];
+        let mut hits = Vec::new();
+        let mut positions = Vec::new();
+        for (idx, key) in positives.iter().enumerate() {
+            positions_batch(provider, key, h0, m, &mut positions);
+            for &p in &positions {
+                words[p as usize / 64] |= 1 << (p % 64);
+                if let Some(u) = units.unit(p as usize) {
+                    hits.push((u as u32, idx as u32));
+                }
+            }
+        }
+        (words, hits)
+    }
+
     #[test]
     fn threaded_member_pass_equals_the_sequential_pass() {
         let provider = HashFamily::with_size(7);
@@ -812,6 +858,10 @@ mod tests {
         }
         let units = Units::new(m, &neg_positions);
         let (words, hits) = member_pass(&pos, &provider, &h0, m, &units, 1);
+        assert!(
+            (words.clone(), hits.clone()) == per_key_member_pass(&pos, &provider, &h0, m, &units),
+            "the block pass differs from the per-key pass"
+        );
         let mut per_unit = vec![0usize; units.len()];
         for &(u, _) in &hits {
             per_unit[u as usize] += 1;
@@ -824,6 +874,19 @@ mod tests {
             let (w, h) = member_pass(&pos, &provider, &h0, m, &units, threads);
             assert!(w == words, "{threads} threads changed the Bloom words");
             assert!(h == hits, "{threads} threads changed the hit sequence");
+        }
+
+        // Block edges, with mixed key lengths (so some runs of four take
+        // the lock-step kernels and some do not), on 1 to 3 threads.
+        let mixed: Vec<Vec<u8>> = (0..1_000)
+            .map(|i| format!("k{}:{}", "x".repeat(i % 7), i).into_bytes())
+            .collect();
+        for n in [0, 1, 255, 256, 257, 1_000] {
+            let want = per_key_member_pass(&mixed[..n], &provider, &h0, m, &units);
+            for threads in 1..=3 {
+                let got = member_pass(&mixed[..n], &provider, &h0, m, &units, threads);
+                assert!(got == want, "{n} members on {threads} threads");
+            }
         }
     }
 

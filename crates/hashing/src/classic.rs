@@ -204,13 +204,61 @@ pub fn oaat(key: &[u8]) -> u64 {
     h
 }
 
+/// [`oaat`] over four keys of one length at once, in lock-step: each
+/// byte step updates all four states, so the four per-byte dependency
+/// chains overlap instead of running back to back.
+///
+/// # Panics
+/// Panics if the keys differ in length.
+#[must_use]
+pub(crate) fn oaat_x4(keys: [&[u8]; 4]) -> [u64; 4] {
+    let len = keys[0].len();
+    let [a, b, c, d] = keys.map(|k| &k[..len]);
+    assert!(b.len() == len && c.len() == len && d.len() == len);
+    let mut h = [0u64; 4];
+    for i in 0..len {
+        for (h, &byte) in h.iter_mut().zip([a[i], b[i], c[i], d[i]].iter()) {
+            *h = h.wrapping_add(u64::from(byte));
+            *h = h.wrapping_add(*h << 10);
+            *h ^= *h >> 6;
+        }
+    }
+    h.map(|mut h| {
+        h = h.wrapping_add(h << 3);
+        h ^= h >> 11;
+        h.wrapping_add(h << 15)
+    })
+}
+
+const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
 /// FNV-1a, 64-bit.
 #[must_use]
 pub fn fnv1a(key: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+    let mut h: u64 = FNV_OFFSET;
     for &c in key {
         h ^= u64::from(c);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
+/// [`fnv1a`] over four keys of one length at once, in lock-step (see
+/// [`oaat_x4`]).
+///
+/// # Panics
+/// Panics if the keys differ in length.
+#[must_use]
+pub(crate) fn fnv1a_x4(keys: [&[u8]; 4]) -> [u64; 4] {
+    let len = keys[0].len();
+    let [a, b, c, d] = keys.map(|k| &k[..len]);
+    assert!(b.len() == len && c.len() == len && d.len() == len);
+    let mut h = [FNV_OFFSET; 4];
+    for i in 0..len {
+        for (h, &byte) in h.iter_mut().zip([a[i], b[i], c[i], d[i]].iter()) {
+            *h = (*h ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+        }
     }
     h
 }
@@ -225,6 +273,21 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xCBF2_9CE4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xAF63_DC4C_8601_EC8C);
         assert_eq!(fnv1a(b"foobar"), 0x85944171F73967E8);
+    }
+
+    /// Every lock-step kernel answers what its scalar function answers,
+    /// lane by lane, at every length.
+    #[test]
+    fn lockstep_kernels_equal_their_scalar_functions() {
+        let mut rng = habf_util::Xoshiro256::new(11);
+        for len in 0..=64 {
+            let keys: Vec<Vec<u8>> = (0..4)
+                .map(|_| (0..len).map(|_| rng.next_u32() as u8).collect())
+                .collect();
+            let lanes = [&keys[0][..], &keys[1][..], &keys[2][..], &keys[3][..]];
+            assert_eq!(fnv1a_x4(lanes), lanes.map(fnv1a), "fnv1a at {len}");
+            assert_eq!(oaat_x4(lanes), lanes.map(oaat), "oaat at {len}");
+        }
     }
 
     #[test]

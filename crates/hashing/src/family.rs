@@ -187,6 +187,66 @@ pub trait HashProvider: Sync {
         out.clear();
         out.extend(ids.iter().map(|&id| self.position(id, key, m) as u32));
     }
+
+    /// Positions of a block of keys under `ids`, key-major into `out`
+    /// (cleared first): key `i`'s positions are
+    /// `out[i·ids.len()..(i+1)·ids.len()]`, exactly what
+    /// [`HashProvider::positions_batch`] gives for that key. This provided
+    /// method calls it once per key; a provider whose functions are
+    /// independent of each other overrides it to run one function over
+    /// the whole block at a time.
+    fn positions_block(&self, keys: &[&[u8]], ids: &[HashId], m: usize, out: &mut Vec<u32>) {
+        out.clear();
+        let mut one = Vec::with_capacity(ids.len());
+        for key in keys {
+            self.positions_batch(key, ids, m, &mut one);
+            out.extend_from_slice(&one);
+        }
+    }
+}
+
+/// Hashes every key with `f`, handing `(key index, hash)` to `emit` in
+/// key order. The three functions with a 4-key lock-step kernel take it
+/// for every run of four keys of one length under 32 bytes; all other
+/// keys and functions take the scalar function.
+fn hash_each(f: HashFunction, keys: &[&[u8]], mut emit: impl FnMut(usize, u64)) {
+    match f {
+        HashFunction::XxHash => lockstep(keys, xxhash::xxhash_x4, xxhash::xxhash, emit),
+        HashFunction::Fnv => lockstep(keys, classic::fnv1a_x4, classic::fnv1a, emit),
+        HashFunction::Oaat => lockstep(keys, classic::oaat_x4, classic::oaat, emit),
+        other => {
+            for (i, key) in keys.iter().enumerate() {
+                emit(i, other.hash(key));
+            }
+        }
+    }
+}
+
+/// The run loop of [`hash_each`] for one kernel: four keys at a time
+/// while the next four share a length under 32 bytes, one key through
+/// `one` otherwise.
+#[inline]
+fn lockstep(
+    keys: &[&[u8]],
+    x4: impl Fn([&[u8]; 4]) -> [u64; 4],
+    one: impl Fn(&[u8]) -> u64,
+    mut emit: impl FnMut(usize, u64),
+) {
+    let mut i = 0;
+    while i < keys.len() {
+        if let Some(&[a, b, c, d]) = keys.get(i..i + 4) {
+            let len = a.len();
+            if len < 32 && b.len() == len && c.len() == len && d.len() == len {
+                for (lane, h) in x4([a, b, c, d]).into_iter().enumerate() {
+                    emit(i + lane, h);
+                }
+                i += 4;
+                continue;
+            }
+        }
+        emit(i, one(keys[i]));
+        i += 1;
+    }
 }
 
 /// The ordered global family `H` of the paper — a prefix of Table II.
@@ -262,6 +322,23 @@ impl HashProvider for HashFamily {
         debug_assert!(id != EMPTY_HASH_ID, "hashing with the empty id");
         self.members[usize::from(id) - 1].hash(key)
     }
+
+    /// Function-major: each id's function runs over the whole block
+    /// before the next one starts, with its dispatch resolved once per
+    /// block, and the keys of a block are independent, so a core overlaps
+    /// them instead of waiting on one key's hash chain at a time.
+    fn positions_block(&self, keys: &[&[u8]], ids: &[HashId], m: usize, out: &mut Vec<u32>) {
+        debug_assert!(m > 0);
+        let k = ids.len();
+        out.clear();
+        out.resize(keys.len() * k, 0);
+        for (j, &id) in ids.iter().enumerate() {
+            debug_assert!(id != EMPTY_HASH_ID, "hashing with the empty id");
+            hash_each(self.members[usize::from(id) - 1], keys, |i, h| {
+                out[i * k + j] = (h % m as u64) as u32;
+            });
+        }
+    }
 }
 
 #[cfg(test)]
@@ -334,6 +411,53 @@ mod tests {
             let p = family.position(id, b"range probe", 1000);
             assert!(p < 1000);
         }
+    }
+
+    /// Keys of every length in 0..=64, in blocks that mix lengths, that
+    /// hold runs of one length (the kernels' case), and whose sizes are
+    /// not multiples of 4.
+    fn blocks() -> Vec<Vec<Vec<u8>>> {
+        let mut rng = Xoshiro256::new(3);
+        let mut bytes =
+            |len: usize| -> Vec<u8> { (0..len).map(|_| rng.next_u32() as u8).collect() };
+        let mut blocks = vec![Vec::new()];
+        blocks.push((0..=64).map(&mut bytes).collect());
+        for len in 0..=64 {
+            blocks.push((0..4).map(|_| bytes(len)).collect());
+        }
+        // Runs of five keys per length: kernels and single keys alternate.
+        blocks.push((0..150).map(|i| bytes(i / 5)).collect());
+        for size in [1, 2, 3, 5, 7, 9, 255, 257] {
+            blocks.push((0..size).map(|_| bytes(12)).collect());
+            blocks.push((0..size).map(|i| bytes(10 + i % 3)).collect());
+        }
+        blocks
+    }
+
+    fn block_equals_per_key(provider: &impl HashProvider, ids: &[HashId]) {
+        let m = 1_000_003;
+        let mut got = Vec::new();
+        let mut one = Vec::new();
+        for block in blocks() {
+            let keys: Vec<&[u8]> = block.iter().map(Vec::as_slice).collect();
+            provider.positions_block(&keys, ids, m, &mut got);
+            let mut want = Vec::new();
+            for key in &keys {
+                provider.positions_batch(key, ids, m, &mut one);
+                want.extend_from_slice(&one);
+            }
+            assert_eq!(got, want, "block of {} keys under {ids:?}", keys.len());
+        }
+    }
+
+    #[test]
+    fn positions_block_equals_per_key_positions_batch() {
+        let seven = HashFamily::with_size(7);
+        block_equals_per_key(&seven, &[1, 6, 7]);
+        block_equals_per_key(&seven, &[2, 3, 4, 5]);
+        let full = HashFamily::full();
+        block_equals_per_key(&full, &full.ids().collect::<Vec<_>>());
+        block_equals_per_key(&crate::double::SimulatedFamily::new(7, 9), &[1, 4, 7]);
     }
 
     #[test]

@@ -100,6 +100,48 @@ pub fn xxhash(key: &[u8]) -> u64 {
     xxh64(key, 0)
 }
 
+/// [`xxhash`] over four keys of one length under 32 bytes at once, in
+/// lock-step: below 32 bytes XXH64 is one serial chain per key, and
+/// stepping four chains together lets them overlap.
+///
+/// # Panics
+/// Panics if the keys differ in length or are 32 bytes or longer.
+#[must_use]
+pub(crate) fn xxhash_x4(keys: [&[u8]; 4]) -> [u64; 4] {
+    let len = keys[0].len();
+    assert!(len < 32 && keys.iter().all(|k| k.len() == len));
+    let mut h = [P5.wrapping_add(len as u64); 4];
+    let mut i = 0usize;
+    while i + 8 <= len {
+        for (h, key) in h.iter_mut().zip(keys) {
+            *h ^= round(0, le64(key, i));
+            *h = h.rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
+        }
+        i += 8;
+    }
+    if i + 4 <= len {
+        for (h, key) in h.iter_mut().zip(keys) {
+            *h ^= le32(key, i).wrapping_mul(P1);
+            *h = h.rotate_left(23).wrapping_mul(P2).wrapping_add(P3);
+        }
+        i += 4;
+    }
+    while i < len {
+        for (h, key) in h.iter_mut().zip(keys) {
+            *h ^= u64::from(key[i]).wrapping_mul(P5);
+            *h = h.rotate_left(11).wrapping_mul(P1);
+        }
+        i += 1;
+    }
+    h.map(|mut h| {
+        h ^= h >> 33;
+        h = h.wrapping_mul(P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(P3);
+        h ^ (h >> 32)
+    })
+}
+
 /// A 128-bit hash built from two decorrelated XXH64 passes, returned as
 /// `(low, high)`. `low == xxh64(key, seed)`.
 #[must_use]
@@ -130,6 +172,18 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for len in [0usize, 1, 3, 4, 7, 8, 15, 31, 32, 33, 63, 64, 95] {
             assert!(seen.insert(xxh64(&data[..len], 0)), "len {len} collided");
+        }
+    }
+
+    #[test]
+    fn lockstep_kernel_equals_the_scalar_function() {
+        let mut rng = habf_util::Xoshiro256::new(5);
+        for len in 0..32 {
+            let keys: Vec<Vec<u8>> = (0..4)
+                .map(|_| (0..len).map(|_| rng.next_u32() as u8).collect())
+                .collect();
+            let lanes = [&keys[0][..], &keys[1][..], &keys[2][..], &keys[3][..]];
+            assert_eq!(xxhash_x4(lanes), lanes.map(xxhash), "len {len}");
         }
     }
 

@@ -45,6 +45,8 @@
 #![forbid(unsafe_code)]
 
 pub mod client;
+#[cfg(unix)]
+mod lane;
 pub mod protocol;
 #[cfg(unix)]
 mod reactor;

@@ -31,16 +31,37 @@
 //! 4. encodes every connection's replies, in arrival order, into one
 //!    pooled buffer and flushes with a single vectored write per
 //!    connection; `WouldBlock` parks the remainder under write
-//!    interest.
+//!    interest. A connection with no `QUERY` reply pending is flushed
+//!    before step 3's merged probe runs, so its replies do not wait on
+//!    other connections' queries.
 //!
 //! An idle sweep bounds silence without blocking reads: a connection
 //! silent past `read_timeout` gets one typed error frame (mid-frame
 //! silence is a truncation) and a close. Reply ordering is preserved
 //! per connection because coalesced slots resolve within the same
 //! wakeup that queued them; coalescing never reorders effects
-//! observably — inserts and rebuilds handled in the same wakeup only
-//! make a merged probe's answers fresher, and the filters never drop
-//! members, so the zero-false-negative contract holds.
+//! observably — inserts handled in the same wakeup only make a merged
+//! probe's answers fresher, and the filters never drop members, so the
+//! zero-false-negative contract holds.
+//!
+//! ## REBUILD runs on the lane
+//!
+//! A REBUILD costs a full TPJO build over the tenant's members, so no
+//! worker runs one. `run` starts one more thread, `habf-rebuild` (see
+//! `lane.rs`), and a worker that decodes a REBUILD for a known tenant
+//! sends it there and **parks** the connection: it decodes no further
+//! frame from it and drops its read interest. Every other connection,
+//! of any tenant, is served meanwhile. The lane sends the reply back on
+//! the worker's own channel and writes its wake byte; the worker queues
+//! the reply behind the ones the connection already had, unparks it,
+//! re-arms read interest, and decodes the frames buffered behind the
+//! REBUILD. So replies keep request order, and a frame sent after a
+//! REBUILD sees the swapped filter, as when the worker rebuilt inline.
+//! A reply is matched to its connection by serial, not slot, so one for
+//! a connection that closed meanwhile is dropped. The idle sweep skips a
+//! parked connection: the silence is the server's. The worker takes no
+//! lock and never waits on a channel: it sends jobs on an unbounded
+//! channel and polls replies with `try_recv`.
 
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
@@ -49,13 +70,15 @@ use std::ops::Range;
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
+use std::thread;
 use std::time::{Duration, Instant};
 
 use habf_core::tenant::TenantStore;
 use habf_util::poll::{Event, Interest, Poller};
 
-use crate::protocol::{self, frame_type, Frame, FrameAssembler, WireError};
-use crate::server::{self, ServerConfig, TenantTable};
+use crate::lane::{self, Done, Job, Outlet};
+use crate::protocol::{self, error_code, frame_type, Frame, FrameAssembler, WireError};
+use crate::server::{self, Handled, ServerConfig, TenantTable};
 
 /// Poll token of the worker's wake pipe; connection slots start at 1.
 const WAKE_TOKEN: u64 = 0;
@@ -83,8 +106,9 @@ struct Shared {
     busy_retry_ms: u8,
 }
 
-/// Runs the reactor: spawns the workers, then serves the accept loop on
-/// this thread until the stop flag is raised, and joins the workers.
+/// Runs the reactor: spawns the workers and the REBUILD lane, then
+/// serves the accept loop on this thread until the stop flag is raised,
+/// and joins the workers, then the lane.
 pub(crate) fn run(
     listener: TcpListener,
     tenants: Arc<TenantTable>,
@@ -104,24 +128,55 @@ pub(crate) fn run(
         busy_retry_ms: config.busy_retry_ms,
     });
 
+    let (jobs, lane_jobs) = mpsc::channel::<Job>();
     let mut senders: Vec<mpsc::Sender<TcpStream>> = Vec::with_capacity(workers);
     let mut wakers: Vec<std::os::unix::net::UnixStream> = Vec::with_capacity(workers);
     let mut joins = Vec::with_capacity(workers);
+    let mut outlets: Vec<Outlet> = Vec::with_capacity(workers);
     for _ in 0..workers {
         let (tx, rx) = mpsc::channel();
-        let Some((worker, waker)) = Worker::new(Arc::clone(&shared), rx) else {
+        let (replies, rebuilt) = mpsc::channel();
+        let index = outlets.len();
+        let Some((worker, waker)) =
+            Worker::new(Arc::clone(&shared), rx, index, jobs.clone(), rebuilt)
+        else {
             continue; // poller/socketpair creation failed; run narrower
+        };
+        let Ok(wake) = waker.try_clone() else {
+            continue;
+        };
+        let Ok(join) = thread::Builder::new()
+            .name(format!("habf-reactor-{index}"))
+            .spawn(move || worker.run())
+        else {
+            continue; // thread creation failed; run narrower
         };
         senders.push(tx);
         wakers.push(waker);
-        joins.push(std::thread::spawn(move || worker.run()));
+        joins.push(join);
+        outlets.push(Outlet { replies, wake });
     }
+    // Only the workers hold job senders now: the lane ends once they do.
+    drop(jobs);
     if senders.is_empty() {
         // No worker could start (resource exhaustion): nothing can be
         // served; fail loudly rather than hang the accept loop.
         eprintln!("habf-serve: reactor failed to start any worker");
         return;
     }
+    let lane_stop = Arc::clone(&stop);
+    let lane = thread::Builder::new()
+        .name("habf-rebuild".into())
+        .spawn(move || lane::run(&lane_jobs, &outlets, &lane_stop));
+    let lane = match lane {
+        Ok(join) => Some(join),
+        Err(e) => {
+            // The job receiver went with the closure, so every worker's
+            // send fails and it refuses the REBUILD; none rebuilds inline.
+            eprintln!("habf-serve: REBUILD lane failed to start ({e}); REBUILD is refused");
+            None
+        }
+    };
 
     let mut accepted = 0usize;
     for conn in listener.incoming() {
@@ -157,6 +212,11 @@ pub(crate) fn run(
     }
     for join in joins {
         let _ = join.join();
+    }
+    // The workers' job senders are gone: the lane finishes the rebuild it
+    // is running, if any, and ends.
+    if let Some(lane) = lane {
+        let _ = lane.join();
     }
 }
 
@@ -202,6 +262,9 @@ struct PendingBatch {
 /// Per-connection state owned by exactly one worker.
 struct Conn {
     stream: TcpStream,
+    /// Unique per worker: tells a connection from a later one that
+    /// reuses its slot.
+    serial: u64,
     asm: FrameAssembler,
     out: OutQueue,
     replies: Vec<Slot>,
@@ -211,18 +274,23 @@ struct Conn {
     closing: bool,
     /// Registered for write readiness (output is parked).
     want_write: bool,
+    /// A REBUILD from this connection is on the lane: no frame of it is
+    /// decoded, and it has no read interest, until the reply is queued.
+    parked: bool,
 }
 
 impl Conn {
-    fn new(stream: TcpStream) -> Conn {
+    fn new(stream: TcpStream, serial: u64) -> Conn {
         Conn {
             stream,
+            serial,
             asm: FrameAssembler::new(),
             out: OutQueue::default(),
             replies: Vec::new(),
             last_activity: Instant::now(),
             closing: false,
             want_write: false,
+            parked: false,
         }
     }
 }
@@ -318,12 +386,19 @@ enum ReadOutcome {
 /// the connections, and its buffer pool.
 struct Worker {
     shared: Arc<Shared>,
+    /// This worker's index: the lane's outlet for its replies.
+    index: usize,
     poller: Poller,
     wake: std::os::unix::net::UnixStream,
     intake: mpsc::Receiver<TcpStream>,
+    /// REBUILDs go to the lane here.
+    lane: mpsc::Sender<Job>,
+    /// The lane's replies for this worker's connections.
+    rebuilt: mpsc::Receiver<Done>,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     live: usize,
+    next_serial: u64,
     scratch: Vec<u8>,
     pool: Vec<Vec<u8>>,
     batches: Vec<PendingBatch>,
@@ -331,11 +406,15 @@ struct Worker {
 }
 
 impl Worker {
-    /// Builds the worker and returns it with the accept thread's wake
-    /// handle; `None` if the poller or socketpair cannot be created.
+    /// Builds the worker and returns it with its wake handle, which the
+    /// accept thread and the lane write to; `None` if the poller or
+    /// socketpair cannot be created.
     fn new(
         shared: Arc<Shared>,
         intake: mpsc::Receiver<TcpStream>,
+        index: usize,
+        lane: mpsc::Sender<Job>,
+        rebuilt: mpsc::Receiver<Done>,
     ) -> Option<(Worker, std::os::unix::net::UnixStream)> {
         let mut poller = Poller::new().ok()?;
         let (waker, wake) = std::os::unix::net::UnixStream::pair().ok()?;
@@ -347,12 +426,16 @@ impl Worker {
         Some((
             Worker {
                 shared,
+                index,
                 poller,
                 wake,
                 intake,
+                lane,
+                rebuilt,
                 conns: Vec::new(),
                 free: Vec::new(),
                 live: 0,
+                next_serial: 0,
                 scratch: vec![0u8; READ_CHUNK],
                 pool: Vec::new(),
                 batches: Vec::new(),
@@ -394,6 +477,19 @@ impl Worker {
             if woken {
                 self.drain_wake();
                 self.intake();
+                self.take_rebuilt();
+            }
+            // A connection whose replies need no probe is answered before
+            // the merged probe runs: an INSERT or FEEDBACK reply does not
+            // wait on the queries that arrived in the same wakeup.
+            for slot in 0..self.conns.len() {
+                let ready = self.conn_mut(slot).is_some_and(|conn| {
+                    !conn.replies.is_empty()
+                        && conn.replies.iter().all(|r| matches!(r, Slot::Ready(_)))
+                });
+                if ready {
+                    self.finish_conn(slot);
+                }
             }
             self.resolve_batches();
             for slot in 0..self.conns.len() {
@@ -477,7 +573,8 @@ impl Worker {
             return;
         }
         if let Some(entry) = self.conns.get_mut(slot) {
-            *entry = Some(Conn::new(stream));
+            *entry = Some(Conn::new(stream, self.next_serial));
+            self.next_serial += 1;
             self.live += 1;
         }
     }
@@ -492,6 +589,13 @@ impl Worker {
             };
             if conn.closing {
                 self.scratch = scratch;
+                return;
+            }
+            if conn.parked {
+                // Read interest is off while parked, so only an error or
+                // a full hangup reports: the peer is gone.
+                self.scratch = scratch;
+                self.close_now(slot);
                 return;
             }
             match conn.stream.read(&mut scratch) {
@@ -515,25 +619,11 @@ impl Worker {
             self.close_now(slot);
             return;
         }
-        // Pop every complete frame the buffer now holds.
-        loop {
-            let next = match self.conn_mut(slot) {
-                Some(conn) if !conn.closing => conn.asm.next_frame(),
-                _ => break,
-            };
-            match next {
-                Ok(Some(frame)) => self.dispatch(slot, frame),
-                Ok(None) => break,
-                Err(e) => {
-                    // Header damage: one typed error frame, then close.
-                    self.queue_error_close(slot, &e);
-                    break;
-                }
-            }
-        }
+        self.drain_frames(slot);
         if matches!(outcome, ReadOutcome::Eof) {
             let truncated = match self.conn_mut(slot) {
-                Some(conn) if !conn.closing => {
+                // A parked connection meets its EOF again once unparked.
+                Some(conn) if !conn.closing && !conn.parked => {
                     if conn.asm.mid_frame() {
                         true
                     } else {
@@ -550,15 +640,48 @@ impl Worker {
         }
     }
 
-    /// Routes one decoded frame: queries to the coalescer, everything
-    /// else to the request handler. A served `SHUTDOWN` stops the whole
-    /// reactor after this connection's replies flush.
+    /// Pops and dispatches every complete frame the connection has
+    /// buffered, until none is left, the connection closes, or a REBUILD
+    /// parks it.
+    fn drain_frames(&mut self, slot: usize) {
+        loop {
+            let next = match self.conn_mut(slot) {
+                Some(conn) if !conn.closing && !conn.parked => conn.asm.next_frame(),
+                _ => break,
+            };
+            match next {
+                Ok(Some(frame)) => self.dispatch(slot, frame),
+                Ok(None) => break,
+                Err(e) => {
+                    // Header damage: one typed error frame, then close.
+                    self.queue_error_close(slot, &e);
+                    break;
+                }
+            }
+        }
+    }
+
+    /// Routes one decoded frame: queries to the coalescer, a REBUILD of a
+    /// known tenant to the lane, everything else to the request handler.
+    /// A served `SHUTDOWN` stops the whole reactor after this
+    /// connection's replies flush.
     fn dispatch(&mut self, slot: usize, frame: Frame) {
         if frame.kind == frame_type::QUERY {
             self.queue_query(slot, frame.payload);
             return;
         }
-        let reply = server::handle_frame(&frame, &self.shared.tenants, self.shared.allow_shutdown);
+        let reply =
+            match server::handle_frame(&frame, &self.shared.tenants, self.shared.allow_shutdown) {
+                Handled::Reply(reply) => reply,
+                Handled::Rebuild {
+                    store,
+                    seed,
+                    max_hints,
+                } => {
+                    self.park(slot, store, seed, max_hints);
+                    return;
+                }
+            };
         if reply.kind == frame_type::SHUTDOWN_OK {
             self.pending_shutdown = true;
             if let Some(conn) = self.conn_mut(slot) {
@@ -566,6 +689,59 @@ impl Worker {
             }
         }
         self.push_ready(slot, reply);
+    }
+
+    /// Sends a REBUILD to the lane and parks its connection until the
+    /// reply comes back ([`Worker::take_rebuilt`]). If the lane is not
+    /// running, the REBUILD is refused with a typed error instead: a
+    /// worker never rebuilds.
+    fn park(&mut self, slot: usize, store: Arc<TenantStore>, seed: u64, max_hints: usize) {
+        let Some(serial) = self.conn_mut(slot).map(|conn| conn.serial) else {
+            return;
+        };
+        let job = Job {
+            worker: self.index,
+            slot,
+            serial,
+            store,
+            seed,
+            max_hints,
+        };
+        if self.lane.send(job).is_err() {
+            let refusal = server::error_frame(
+                error_code::REBUILD_FAILED,
+                "the rebuild lane is not running",
+            );
+            self.push_ready(slot, refusal);
+            return;
+        }
+        if let Some(conn) = self.conn_mut(slot) {
+            conn.parked = true;
+        }
+        self.rearm(slot);
+    }
+
+    /// Queues every reply the lane has finished for this worker's
+    /// connections, each behind the replies its connection already had;
+    /// then unparks the connection, decodes the frames buffered behind
+    /// its REBUILD, and re-arms its read interest. A reply whose
+    /// connection closed meanwhile finds its slot empty or another serial
+    /// there, and is dropped.
+    fn take_rebuilt(&mut self) {
+        while let Ok(done) = self.rebuilt.try_recv() {
+            match self.conn_mut(done.slot) {
+                Some(conn) if conn.serial == done.serial => {
+                    conn.parked = false;
+                    conn.last_activity = Instant::now();
+                    conn.replies.push(Slot::Ready(done.frame));
+                }
+                _ => continue,
+            }
+            self.drain_frames(done.slot);
+            if matches!(self.conn_mut(done.slot), Some(conn) if !conn.parked) {
+                self.rearm(done.slot);
+            }
+        }
     }
 
     /// Merges a `QUERY` into this wakeup's per-tenant batch and leaves
@@ -709,7 +885,7 @@ impl Worker {
         enum Next {
             Keep,
             Close,
-            Arm(bool),
+            Rearm,
         }
         let next = {
             let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
@@ -721,7 +897,7 @@ impl Worker {
                         Next::Close
                     } else if conn.want_write {
                         conn.want_write = false;
-                        Next::Arm(false)
+                        Next::Rearm
                     } else {
                         Next::Keep
                     }
@@ -731,7 +907,7 @@ impl Worker {
                         Next::Keep
                     } else {
                         conn.want_write = true;
-                        Next::Arm(true)
+                        Next::Rearm
                     }
                 }
                 Err(_) => Next::Close,
@@ -740,34 +916,40 @@ impl Worker {
         match next {
             Next::Keep => {}
             Next::Close => self.close_now(slot),
-            Next::Arm(write) => {
-                let interest = if write {
-                    Interest::BOTH
-                } else {
-                    Interest::READABLE
-                };
-                let token = slot as u64 + 1;
-                let fd = match self.conn_mut(slot) {
-                    Some(conn) => conn.stream.as_raw_fd(),
-                    None => return,
-                };
-                if self.poller.modify(fd, token, interest).is_err() {
-                    self.close_now(slot);
-                }
-            }
+            Next::Rearm => self.rearm(slot),
+        }
+    }
+
+    /// Registers the interest the connection's state calls for: read
+    /// unless parked, write while output is parked.
+    fn rearm(&mut self, slot: usize) {
+        let Some(conn) = self.conn_mut(slot) else {
+            return;
+        };
+        let interest = Interest {
+            readable: !conn.parked,
+            writable: conn.want_write,
+        };
+        let fd = conn.stream.as_raw_fd();
+        if self.poller.modify(fd, slot as u64 + 1, interest).is_err() {
+            self.close_now(slot);
         }
     }
 
     /// Applies `read_timeout` without blocking reads: a connection
     /// silent past the deadline gets one typed error (silence mid-frame
     /// is a truncation) and closes; a closing connection that cannot
-    /// flush within a further deadline is dropped outright.
+    /// flush within a further deadline is dropped outright. A parked
+    /// connection is skipped: it waits on the server, not the server on
+    /// it.
     fn sweep_idle(&mut self) {
         let timeout = self.shared.read_timeout;
         let now = Instant::now();
         for slot in 0..self.conns.len() {
             let state = match self.conns.get_mut(slot).and_then(Option::as_mut) {
-                Some(conn) if now.duration_since(conn.last_activity) >= timeout => conn.closing,
+                Some(conn) if !conn.parked && now.duration_since(conn.last_activity) >= timeout => {
+                    conn.closing
+                }
                 _ => continue,
             };
             if state {

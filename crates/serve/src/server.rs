@@ -16,6 +16,17 @@
 //!
 //! A client may pipeline: frames are answered in order, one reply per
 //! request, so a burst of `QUERY` frames behaves as one long stream.
+//!
+//! No worker runs a `REBUILD`: the request handler turns one for a known
+//! tenant into a job for the REBUILD lane, a background thread that
+//! runs [`TenantStore::rebuild_now`] while the worker parks only the
+//! connection that sent it and goes on serving every other connection.
+//! The reply still arrives in request order. If the lane cannot start,
+//! every `REBUILD` is refused with a typed `REBUILD_FAILED` error.
+//!
+//! The server's threads are named for `/proc/<pid>/task/*/comm`:
+//! `habf-accept` (the accept loop, when started by [`Server::spawn`]),
+//! `habf-reactor-N` (worker `N`), and `habf-rebuild` (the lane).
 
 use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -199,15 +210,18 @@ impl Server {
         );
     }
 
-    /// Runs the server on a background thread, returning the handle
-    /// used to address and stop it.
+    /// Runs the server on a background thread, `habf-accept`, returning
+    /// the handle used to address and stop it.
     ///
     /// # Errors
-    /// Propagates the local-address query failure.
+    /// Propagates the local-address query failure and the thread spawn
+    /// failure.
     pub fn spawn(self) -> std::io::Result<ServerHandle> {
         let addr = self.local_addr()?;
         let stop = Arc::clone(&self.stop);
-        let join = std::thread::spawn(move || self.run());
+        let join = std::thread::Builder::new()
+            .name("habf-accept".into())
+            .spawn(move || self.run())?;
         Ok(ServerHandle {
             addr,
             stop,
@@ -235,31 +249,51 @@ pub(crate) fn error_frame(code: u8, message: &str) -> Frame {
     }
 }
 
+/// What a worker does with one request frame other than `QUERY`.
+pub(crate) enum Handled {
+    /// Answer now with this frame.
+    Reply(Frame),
+    /// A `REBUILD` of a known tenant: the REBUILD lane runs it, and the
+    /// reply comes back from there.
+    Rebuild {
+        store: Arc<TenantStore>,
+        seed: u64,
+        max_hints: usize,
+    },
+}
+
 /// Maps one request frame other than `QUERY` (the reactor coalesces
-/// those) to its reply frame. Payload-level damage keeps the
-/// connection: the framing is still in sync, so the error is a reply,
-/// not a hangup. This is the `SHUTDOWN` gate too: a refusal unless
-/// `allow_shutdown`, and `SHUTDOWN_OK` for an empty payload, which the
-/// caller answers by stopping the server.
-pub(crate) fn handle_frame(frame: &Frame, tenants: &TenantTable, allow_shutdown: bool) -> Frame {
+/// those) to its reply frame, or, for a `REBUILD` of a known tenant, to
+/// the job the REBUILD lane runs: no request is rebuilt here. Payload-
+/// level damage keeps the connection: the framing is still in sync, so
+/// the error is a reply, not a hangup. This is the `SHUTDOWN` gate too: a
+/// refusal unless `allow_shutdown`, and `SHUTDOWN_OK` for an empty
+/// payload, which the caller answers by stopping the server.
+pub(crate) fn handle_frame(frame: &Frame, tenants: &TenantTable, allow_shutdown: bool) -> Handled {
     if frame.kind == frame_type::SHUTDOWN && !allow_shutdown {
-        return error_frame(
+        return Handled::Reply(error_frame(
             error_code::SHUTDOWN_REFUSED,
             "server does not allow remote shutdown",
-        );
+        ));
     }
     let request = match Request::parse(frame) {
         Ok(request) => request,
-        Err(e) => return error_frame(e.code(), &e.to_string()),
+        Err(e) => return Handled::Reply(error_frame(e.code(), &e.to_string())),
     };
-    match request {
+    let unknown = |tenant: &str| {
+        Handled::Reply(error_frame(
+            error_code::UNKNOWN_TENANT,
+            &format!("no tenant {tenant:?}"),
+        ))
+    };
+    let reply = match request {
         Request::Ping(payload) => Frame {
             kind: frame_type::PONG,
             payload,
         },
         Request::Feedback { tenant, events } => {
             let Some(store) = tenants.get(&tenant) else {
-                return error_frame(error_code::UNKNOWN_TENANT, &format!("no tenant {tenant:?}"));
+                return unknown(&tenant);
             };
             for (key, cost) in &events {
                 store.record_fp(key, *cost);
@@ -271,7 +305,7 @@ pub(crate) fn handle_frame(frame: &Frame, tenants: &TenantTable, allow_shutdown:
         }
         Request::Stats { tenant } => {
             let Some(store) = tenants.get(&tenant) else {
-                return error_frame(error_code::UNKNOWN_TENANT, &format!("no tenant {tenant:?}"));
+                return unknown(&tenant);
             };
             Frame {
                 kind: frame_type::STATS_OK,
@@ -284,24 +318,17 @@ pub(crate) fn handle_frame(frame: &Frame, tenants: &TenantTable, allow_shutdown:
             max_hints,
         } => {
             let Some(store) = tenants.get(&tenant) else {
-                return error_frame(error_code::UNKNOWN_TENANT, &format!("no tenant {tenant:?}"));
+                return unknown(&tenant);
             };
-            match store.rebuild_now(seed, max_hints as usize) {
-                Ok(outcome) => {
-                    let mut payload = Vec::with_capacity(12);
-                    payload.extend_from_slice(&(outcome.hints as u32).to_le_bytes());
-                    payload.extend_from_slice(&outcome.generation.to_le_bytes());
-                    Frame {
-                        kind: frame_type::REBUILT,
-                        payload,
-                    }
-                }
-                Err(e) => error_frame(error_code::REBUILD_FAILED, &e.to_string()),
-            }
+            return Handled::Rebuild {
+                store,
+                seed,
+                max_hints: max_hints as usize,
+            };
         }
         Request::Insert { tenant, keys } => {
             let Some(store) = tenants.get(&tenant) else {
-                return error_frame(error_code::UNKNOWN_TENANT, &format!("no tenant {tenant:?}"));
+                return unknown(&tenant);
             };
             match store.insert_keys(&keys) {
                 Ok(report) => Frame {
@@ -323,5 +350,6 @@ pub(crate) fn handle_frame(frame: &Frame, tenants: &TenantTable, allow_shutdown:
         },
         // The reactor answers every QUERY from its coalesced batch.
         Request::Query { .. } => error_frame(error_code::BAD_FRAME, "QUERY is not handled here"),
-    }
+    };
+    Handled::Reply(reply)
 }

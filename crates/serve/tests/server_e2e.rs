@@ -435,3 +435,231 @@ fn half_sent_frame_times_out_instead_of_wedging_the_server() {
     client.ping(b"after-stall").expect("ping");
     handle.shutdown();
 }
+
+fn scalable_tenant(name: &str, keys: Vec<Vec<u8>>) -> TenantStore {
+    let input = BuildInput::from_members(&keys);
+    let filter = FilterSpec::scalable_habf()
+        .bits_per_key(10.0)
+        .build(&input)
+        .expect("build");
+    TenantStore::new(name, filter, AdaptPolicy::cost_threshold(50.0)).with_members(keys)
+}
+
+/// Reads one reply frame and checks its type.
+fn expect_reply(stream: &mut std::net::TcpStream, kind: u8) -> Vec<u8> {
+    let reply = protocol::read_frame(stream).expect("read").expect("frame");
+    assert_eq!(reply.kind, kind, "reply out of order: {:?}", reply.payload);
+    reply.payload
+}
+
+/// One connection pipelines six frames around a REBUILD, which its
+/// worker parks while the lane runs it: the replies come back in request
+/// order, the frames behind the REBUILD see the swapped filter, and the
+/// second worker's connection gets its reply through its own outlet.
+#[test]
+fn frames_behind_a_parked_rebuild_answer_in_order_and_read_their_writes() {
+    let config = ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    };
+    let handle = start(config, vec![scalable_tenant("elastic", members(2_000))]);
+    // Grow the stack first (this connection lands on worker 0), so the
+    // REBUILD folds it back: a `compact` rebuild.
+    let grown: Vec<Vec<u8>> = (0..3_000)
+        .map(|i| format!("late:{i}").into_bytes())
+        .collect();
+    let (_, tiers, _) = connect(&handle).insert("elastic", &grown).expect("insert");
+    assert!(tiers > 1, "the insert must open a tier");
+    let mut all = members(2_000);
+    all.extend(grown);
+
+    // Worker 1's connection.
+    let mut stream = std::net::TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    let mut burst = Vec::new();
+    let query = protocol::encode_query("elastic", &all);
+    let late = [b"after:1".to_vec(), b"after:2".to_vec()];
+    for (kind, payload) in [
+        (frame_type::QUERY, query.clone()),
+        (
+            frame_type::REBUILD,
+            protocol::encode_rebuild("elastic", 5, 64),
+        ),
+        (frame_type::STATS, protocol::encode_stats("elastic")),
+        (frame_type::QUERY, query),
+        (
+            frame_type::INSERT,
+            protocol::encode_insert("elastic", &late),
+        ),
+        (frame_type::PING, b"last".to_vec()),
+    ] {
+        protocol::append_frame(&mut burst, kind, &payload).expect("frame");
+    }
+    std::io::Write::write_all(&mut stream, &burst).expect("pipeline");
+
+    let answers =
+        protocol::decode_answers(&expect_reply(&mut stream, frame_type::ANSWERS)).expect("answers");
+    assert!(
+        answers.len() == all.len() && answers.iter().all(|&b| b),
+        "FN before the swap"
+    );
+    let rebuilt = expect_reply(&mut stream, frame_type::REBUILT);
+    assert_eq!(
+        rebuilt.get(4..12),
+        Some(&1u64.to_le_bytes()[..]),
+        "generation"
+    );
+    let stats = String::from_utf8(expect_reply(&mut stream, frame_type::STATS_OK)).expect("utf8");
+    assert!(stats.contains("\"generation\":1"), "{stats}");
+    assert!(stats.contains("\"rebuild_kind\":\"compact\""), "{stats}");
+    assert!(stats.contains("\"tiers\":1"), "{stats}");
+    let answers =
+        protocol::decode_answers(&expect_reply(&mut stream, frame_type::ANSWERS)).expect("answers");
+    assert!(
+        answers.len() == all.len() && answers.iter().all(|&b| b),
+        "FN after the swap"
+    );
+    let (accepted, _, _) =
+        protocol::decode_insert_ok(&expect_reply(&mut stream, frame_type::INSERT_OK))
+            .expect("insert ok");
+    assert_eq!(accepted, 2);
+    assert_eq!(expect_reply(&mut stream, frame_type::PONG), b"last");
+
+    handle.shutdown();
+}
+
+/// Members of the stall test's tenant: enough that one fold-back takes
+/// well over 50 ms in a release build (60–100 ms on 2 vCPUs), and longer
+/// in any other.
+const STALL_MEMBERS: usize = 1_500_000;
+
+/// While connection A's REBUILDs run on the lane, connection B's small
+/// queries on the same (only) worker keep being answered: the slowest of
+/// B's frames that overlapped a REBUILD takes under a quarter of A's
+/// fastest REBUILD. Then the server stops cleanly with a REBUILD in
+/// flight.
+#[test]
+fn a_rebuild_does_not_stall_another_connection() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Instant;
+
+    let config = ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    };
+    let handle = start(config, vec![scalable_tenant("big", members(STALL_MEMBERS))]);
+    let addr = handle.addr();
+    let epoch = Instant::now();
+    let querying = AtomicBool::new(false);
+    let done = AtomicBool::new(false);
+    let (rebuilds, frames) = std::thread::scope(|s| {
+        let b = s.spawn(|| {
+            let mut client = Client::connect(addr, Duration::from_secs(30)).expect("connect");
+            let probe = members(8);
+            let mut frames = Vec::new();
+            while !done.load(Ordering::Acquire) {
+                let start = epoch.elapsed();
+                let answers = client.query("big", &probe).expect("query");
+                frames.push((start, epoch.elapsed()));
+                assert!(answers.iter().all(|&b| b), "member dropped");
+                querying.store(true, Ordering::Release);
+            }
+            frames
+        });
+        let mut client = Client::connect(addr, Duration::from_secs(60)).expect("connect");
+        while !querying.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+        let mut rebuilds = Vec::new();
+        for seed in 0..3 {
+            let start = epoch.elapsed();
+            client.rebuild("big", seed, 64).expect("rebuild");
+            rebuilds.push((start, epoch.elapsed()));
+        }
+        done.store(true, Ordering::Release);
+        (rebuilds, b.join().expect("query thread"))
+    });
+
+    let fastest = rebuilds
+        .iter()
+        .map(|(a, b)| *b - *a)
+        .min()
+        .expect("three rebuilds");
+    let overlapped: Vec<Duration> = frames
+        .iter()
+        .filter(|(fa, fb)| rebuilds.iter().any(|(ra, rb)| fa < rb && fb > ra))
+        .map(|(a, b)| *b - *a)
+        .collect();
+    let slowest = overlapped.iter().max().copied().unwrap_or_default();
+    assert!(
+        overlapped.len() >= 3,
+        "only {} query frames overlapped a REBUILD",
+        overlapped.len()
+    );
+    assert!(
+        slowest < fastest / 4,
+        "a query frame waited {slowest:?} during a REBUILD; the fastest REBUILD took {fastest:?}"
+    );
+
+    // Stop with a REBUILD on the lane: the shutdown waits for that one
+    // rebuild at most, and returns.
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    protocol::write_frame(
+        &mut stream,
+        frame_type::REBUILD,
+        &protocol::encode_rebuild("big", 9, 64),
+    )
+    .expect("send");
+    std::thread::sleep(Duration::from_millis(20));
+    let (stopped, waited) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        handle.shutdown();
+        let _ = stopped.send(());
+    });
+    waited
+        .recv_timeout(Duration::from_secs(120))
+        .expect("server did not stop with a REBUILD in flight");
+}
+
+/// The server's threads carry their roles' names, which an operator reads
+/// in `/proc/<pid>/task/*/comm`.
+#[cfg(target_os = "linux")]
+#[test]
+fn server_threads_are_named() {
+    let config = ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    };
+    let handle = start(config, vec![tenant("t1", 100)]);
+    // A served frame means the accept loop runs, so every thread exists;
+    // each names itself once it first runs, and until then shows its
+    // parent's name.
+    connect(&handle).ping(b"up").expect("ping");
+    let wanted = [
+        "habf-accept",
+        "habf-reactor-0",
+        "habf-reactor-1",
+        "habf-rebuild",
+    ];
+    let mut names = Vec::new();
+    for _ in 0..500 {
+        names = std::fs::read_dir("/proc/self/task")
+            .expect("task dir")
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .map(|name| name.trim_end().to_string())
+            .collect();
+        if wanted.iter().all(|want| names.iter().any(|n| n == want)) {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    for want in wanted {
+        assert!(
+            names.iter().any(|n| n == want),
+            "no {want} thread in {names:?}"
+        );
+    }
+    handle.shutdown();
+}

@@ -30,7 +30,10 @@ pub type RawFd = i32;
 /// Which readiness directions a registration asks for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Interest {
-    /// Wake when the fd is readable (or the peer hung up).
+    /// Wake when the fd is readable (or the peer hung up). Without it,
+    /// a peer's half-close stays quiet; an error or a full hangup, which
+    /// no registration can mask, still reports (as readable and
+    /// writable).
     pub readable: bool,
     /// Wake when the fd is writable.
     pub writable: bool,
@@ -295,9 +298,9 @@ mod imp {
     }
 
     fn flags_of(interest: Interest) -> u32 {
-        let mut bits = EPOLLRDHUP;
+        let mut bits = 0;
         if interest.readable {
-            bits |= EPOLLIN;
+            bits |= EPOLLIN | EPOLLRDHUP;
         }
         if interest.writable {
             bits |= EPOLLOUT;
@@ -598,6 +601,44 @@ mod tests {
             .wait(&mut events, Some(Duration::from_millis(50)))
             .expect("wait");
         assert_eq!(n, 0);
+    }
+
+    /// A peer's half-close is read-side news: it wakes a registration
+    /// with read interest and leaves one without it quiet.
+    #[test]
+    fn half_close_wakes_only_read_interest() {
+        let (a, b) = pair();
+        let mut poller = Poller::new().expect("poller");
+        poller
+            .register(
+                a.as_raw_fd(),
+                4,
+                Interest {
+                    readable: false,
+                    writable: false,
+                },
+            )
+            .expect("register");
+        b.shutdown(std::net::Shutdown::Write).expect("half-close");
+        let mut events = Vec::new();
+        let n = poller
+            .wait(&mut events, Some(Duration::from_millis(50)))
+            .expect("wait");
+        assert_eq!(
+            n, 0,
+            "a half-close woke a registration without read interest"
+        );
+        poller
+            .modify(a.as_raw_fd(), 4, Interest::READABLE)
+            .expect("modify");
+        let n = poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .expect("wait");
+        assert_eq!(n, 1);
+        assert!(
+            events[0].readable,
+            "the half-close must surface as readable"
+        );
     }
 
     #[test]
