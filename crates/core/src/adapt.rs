@@ -23,8 +23,8 @@
 //! The serving layers wire this together: the LSM store records every
 //! wasted read at query time, checks the policy, and on a trigger re-runs
 //! TPJO over each run with the mined hints; a served tenant
-//! ([`crate::TenantStore`]) rebuilds a private copy and swaps it in, so
-//! concurrent readers keep their snapshots.
+//! ([`crate::TenantStore`]) builds a fresh filter from the serving one's
+//! geometry and swaps it in, so concurrent readers keep their snapshots.
 
 use std::collections::{HashMap, VecDeque};
 

@@ -20,8 +20,8 @@
 //! * **Read** is lock-free: queries take `&self`, so any number of
 //!   threads probe one filter at once.
 //! * **Write** ([`ShardedHabf::rebuild_in_place`]) takes `&mut self`. A
-//!   server that must keep readers on the old filter rebuilds a private
-//!   copy ([`crate::CloneFilter::clone_filter`]) and swaps it in, as
+//!   server that must keep readers on the old filter builds a fresh one
+//!   ([`ShardedHabf::rebuilt_from`]) and swaps it in, as
 //!   [`crate::TenantStore`] does.
 //!
 //! ```

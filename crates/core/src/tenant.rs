@@ -185,9 +185,9 @@ pub struct TenantStore {
     /// What kind the last completed rebuild was (stats surface).
     last_rebuild: Mutex<Option<RebuildKind>>,
     /// Whether the filter has the growth and rebuild capabilities. Both
-    /// belong to the filter's type, and a swap always installs a copy of
-    /// the same type, so they are read once here; a refused mutation
-    /// then answers without copying the filter.
+    /// belong to the filter's type, and a swap always installs a filter
+    /// of the same type, so they are read once here; a refused mutation
+    /// then answers without copying the filter or mining hints.
     growable: bool,
     rebuildable: bool,
 }
