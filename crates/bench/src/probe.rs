@@ -17,21 +17,8 @@
 //! repo root pins a full-scale release run.
 
 use crate::report::Table;
-use habf_core::{BuildInput, FilterSpec};
+use habf_core::{registry, BuildInput, FilterSpec};
 use habf_util::stats::time_ns;
-
-/// Filter ids the suite measures: every registered id exposing the batch
-/// capability, in registry order.
-pub const PROBE_IDS: &[&str] = &[
-    "bloom",
-    "weighted-bloom",
-    "sharded-habf",
-    "sharded-fhabf",
-    "blocked-bloom",
-    "blocked-habf",
-    "binary-fuse",
-    "scalable-habf",
-];
 
 /// Best-of-reps for each throughput figure; probes dominate wall-clock,
 /// so a few reps strip scheduler noise without doubling the run.
@@ -151,8 +138,9 @@ fn mops(n: usize, ns: u64) -> f64 {
 
 /// Runs the probe-throughput comparison at the given scale.
 ///
-/// Builds each id in [`PROBE_IDS`] over the same `keys` members (and a
-/// 10% costed negative set) at `bits_per_key`, then times a shuffled
+/// Builds every registered id over the same `keys` members (and a 10%
+/// costed negative set) at `bits_per_key` and, for each one whose filter
+/// has the batch capability, in registry order, times a shuffled
 /// half-members/half-fresh probe batch through the scalar, batch
 /// (prefetch off/on), and parallel paths. Batch answers are checked
 /// against the scalar loop on every filter, so the bench doubles as a
@@ -188,15 +176,17 @@ pub fn run_probe(keys: usize, bits_per_key: f64, threads: usize, seed: u64) -> P
     let slices: Vec<&[u8]> = probes.iter().map(Vec::as_slice).collect();
 
     let mut rows = Vec::new();
-    for &id in PROBE_IDS {
+    for id in registry::ids() {
         let spec = FilterSpec::by_id(id)
-            .expect("probe id registered")
+            .expect("registered id has a spec")
             .bits_per_key(bits_per_key)
             .seed(seed)
             .shards(if id.starts_with("sharded") { 8 } else { 1 })
             .threads(threads);
         let filter = spec.build(&input).expect("probe filter builds");
-        let batch = filter.as_batch().expect("probe ids are batchable");
+        let Some(batch) = filter.as_batch() else {
+            continue;
+        };
 
         let mut scalar_ns = u64::MAX;
         let mut cold_ns = u64::MAX;
@@ -252,7 +242,13 @@ mod tests {
     fn probe_suite_runs_and_batch_agrees_with_scalar() {
         // Answer agreement is asserted inside run_probe on every rep.
         let r = run_probe(20_000, 10.0, 2, 7);
-        assert_eq!(r.rows.len(), PROBE_IDS.len());
+        // Every registered id batches except the xor filter.
+        let ids: Vec<&str> = r.rows.iter().map(|row| row.id).collect();
+        let batchable: Vec<&str> = registry::ids()
+            .into_iter()
+            .filter(|&id| id != "xor")
+            .collect();
+        assert_eq!(ids, batchable);
         for row in &r.rows {
             assert!(row.space_bits > 0, "{}: no space", row.id);
             assert!(

@@ -243,6 +243,22 @@ pub enum RebuildKind {
 }
 
 impl RebuildKind {
+    /// The one rebuild classifier: a multi-generation stack always folds
+    /// ([`RebuildKind::Compact`]) — whatever triggered, the stack is the
+    /// thing to repair; a `saturated` single filter resizes; anything
+    /// else rehashes at its existing geometry. Each caller decides what
+    /// saturated means for it.
+    #[must_use]
+    pub fn classify(generations: usize, saturated: bool) -> Self {
+        if generations > 1 {
+            RebuildKind::Compact
+        } else if saturated {
+            RebuildKind::Resize
+        } else {
+            RebuildKind::Rehash
+        }
+    }
+
     /// The stable lowercase label stats JSON and logs use.
     #[must_use]
     pub fn as_str(self) -> &'static str {
@@ -330,26 +346,14 @@ impl AdaptPolicy {
 
     /// Full decision: given the FP log plus the filter's current
     /// `saturation` and `generations` (from [`crate::filter_api::DynFilter`]),
-    /// pick the rebuild that fixes the dominant problem, or `None`.
-    ///
-    /// A multi-generation stack always folds ([`RebuildKind::Compact`]) —
-    /// whatever triggered, the stack is the thing to repair. A saturated
-    /// single filter resizes; an FP-triggered, unsaturated one rehashes
-    /// at its existing geometry.
+    /// pick the rebuild that fixes the dominant problem
+    /// ([`RebuildKind::classify`], saturated at the policy's threshold),
+    /// or `None` when nothing triggered.
     #[must_use]
     pub fn decide(&self, log: &FpLog, saturation: f64, generations: usize) -> Option<RebuildKind> {
         let saturated = saturation >= self.saturation_threshold;
-        let fp_triggered = self.should_rebuild(log);
-        if !saturated && !fp_triggered {
-            return None;
-        }
-        Some(if generations > 1 {
-            RebuildKind::Compact
-        } else if saturated {
-            RebuildKind::Resize
-        } else {
-            RebuildKind::Rehash
-        })
+        (saturated || self.should_rebuild(log))
+            .then(|| RebuildKind::classify(generations, saturated))
     }
 }
 

@@ -8,10 +8,12 @@
 //! block selected by a single base hash, so the entire bit-layer part of
 //! a query touches one cache line.
 //!
-//! The trick is *where* the blocking lives: [`BlockedFamily`] wraps the
-//! Table II [`HashFamily`] as a [`HashProvider`] whose
-//! [`HashProvider::position`] is blockified **only for the Bloom range**
-//! (`range == m`). Everything else is untouched:
+//! [`BlockedHabf`] is the one HABF type, [`crate::habf::HabfOver`], over
+//! the hashing [`BlockedFamily`]: same TPJO construction, same
+//! HashExpressor, same two-round query. The blocking lives in the
+//! family, which wraps the Table II [`HashFamily`] as a [`HashProvider`]
+//! whose [`HashProvider::position`] is blockified **only for the Bloom
+//! range** (`range == m`). Everything else is untouched:
 //!
 //! * TPJO computes positions exclusively through `position` /
 //!   `positions_batch` with `m`, so the optimizer "sees" the blocked
@@ -20,24 +22,23 @@
 //! * The HashExpressor addresses its cells by `hash_id % ω`, which the
 //!   wrapper delegates to the inner family — chain storage and retrieval
 //!   are byte-identical to an unblocked HABF.
+//! * A query binds the key to its block start once; both rounds probe
+//!   offsets inside that block.
 //!
 //! The block-selector hash is chosen at build time by
 //! [`habf_hashing::calibrate::calibrate`] (adaptive hashing: the cheapest family
 //! member whose raw collision count on a key sample matches the
 //! strongest candidate's) and persisted in the image — kind 2 of the
-//! HABF-family codec, with the `sim_seed` slot packing the selector's
+//! HABF codec, with the `sim_seed` slot packing the selector's
 //! registry index alongside the 56-bit block seed — so a reloaded filter
 //! probes identically.
 
-use crate::hash_expressor::HashExpressor;
-use crate::persist::{self, Decoded, PersistError};
-use crate::tpjo::{self, BuildStats, TpjoConfig};
-use crate::HabfConfig;
+use crate::habf::{HabfConfig, HabfOver};
+use crate::hashing::Hashing;
+use crate::persist::PersistError;
 use habf_filters::blocked_bloom::BLOCK_BITS;
-use habf_filters::Filter;
 use habf_hashing::classic::wang_mix64;
 use habf_hashing::{calibrate, HashFamily, HashFunction, HashId, HashProvider};
-use habf_util::{Backing, BitVec};
 
 /// The 56 low bits of the packed `sim_seed` slot hold the block seed;
 /// the top byte holds the selector's registry index.
@@ -99,12 +100,6 @@ impl BlockedFamily {
         self.seed
     }
 
-    /// The wrapped Table II family prefix.
-    #[must_use]
-    pub fn inner(&self) -> &HashFamily {
-        &self.inner
-    }
-
     /// First bit of the block `key` maps to (mixed selector hash,
     /// multiply-shift range reduction — one evaluation covers all of a
     /// key's probes).
@@ -157,304 +152,84 @@ impl HashProvider for BlockedFamily {
     }
 }
 
-/// Rounds a Bloom budget down to whole 512-bit blocks, with a one-block
-/// floor so degenerate budgets stay constructible.
-#[must_use]
-fn blockify(m: usize) -> usize {
-    (m / BLOCK_BITS).max(1) * BLOCK_BITS
-}
-
 /// The Hash Adaptive Bloom Filter over a block-partitioned bit layer:
-/// same TPJO construction, same HashExpressor, same two-round query —
-/// but every key's Bloom probes share one cache line.
-#[derive(Clone)]
-pub struct BlockedHabf {
-    bloom: BitVec,
-    he: HashExpressor,
-    h0: Vec<HashId>,
-    family: BlockedFamily,
-    stats: BuildStats,
-}
+/// every key's Bloom probes share one cache line.
+pub type BlockedHabf = HabfOver<BlockedFamily>;
 
-impl BlockedHabf {
-    /// Builds a blocked HABF: calibrates the block selector on the
-    /// positive keys, blockifies the Bloom share of the budget, and runs
-    /// the full TPJO optimization against the blocked provider.
-    ///
-    /// # Panics
-    /// Panics on a degenerate configuration (see [`HabfConfig::validate`]).
-    #[must_use]
-    pub fn build(
-        positives: &[impl AsRef<[u8]> + Sync],
-        negatives: &[(impl AsRef<[u8]>, f64)],
-        config: &HabfConfig,
-    ) -> Self {
-        if let Err(e) = config.validate() {
-            panic!("invalid HabfConfig: {e}");
-        }
+impl Hashing for BlockedFamily {
+    const KIND: u8 = 2;
+    const ID: &'static str = "blocked-habf";
+    const NAME: &'static str = "BlockedHABF";
+    const GAMMA: bool = true;
+    type Bound<'a> = crate::hashing::BlockBound<'a>;
+
+    /// Calibrates the block selector on the positive keys and rounds the
+    /// Bloom share of the budget down to whole blocks (one-block floor).
+    fn for_config<K: AsRef<[u8]>>(positives: &[K], config: &HabfConfig) -> (Self, usize) {
+        let (inner, m) = HashFamily::for_config(positives, config);
+        let m = (m / BLOCK_BITS).max(1) * BLOCK_BITS;
         let selector = calibrate::calibrate(positives, 0).chosen;
-        Self::build_with(positives, negatives, config, selector)
+        (Self::new(inner, m, selector, config.seed), m)
     }
 
-    /// Builds with an explicit block selector (used by tests and by
-    /// calibration studies; [`BlockedHabf::build`] calibrates).
-    ///
-    /// # Panics
-    /// Panics on a degenerate configuration.
-    #[must_use]
-    pub fn build_with(
-        positives: &[impl AsRef<[u8]> + Sync],
-        negatives: &[(impl AsRef<[u8]>, f64)],
-        config: &HabfConfig,
-        selector: HashFunction,
-    ) -> Self {
-        if let Err(e) = config.validate() {
-            panic!("invalid HabfConfig: {e}");
-        }
-        let (m, omega) = config.split();
-        let m = blockify(m);
-        let family = BlockedFamily::new(
-            HashFamily::with_size(config.usable_hashes()),
-            m,
-            selector,
-            config.seed,
-        );
-        let cfg = TpjoConfig {
-            k: config.k,
-            m,
-            omega,
-            cell_bits: config.cell_bits,
-            use_gamma: true,
-            requeue_cap: config.requeue_cap,
-            seed: config.seed,
-            enable_class_c: true,
-            overlap_tiebreak: true,
-        };
-        let out = tpjo::run(positives, negatives, &family, &cfg);
-        Self {
-            bloom: out.bloom,
-            he: out.he,
-            h0: out.h0,
-            family,
-            stats: out.stats,
-        }
-    }
-
-    /// The initial hash-function ids `H0`.
-    #[must_use]
-    pub fn h0(&self) -> &[HashId] {
-        &self.h0
-    }
-
-    /// Optimizer counters.
-    #[must_use]
-    pub fn stats(&self) -> &BuildStats {
-        &self.stats
-    }
-
-    /// The blocked provider (selector, seed, block geometry).
-    #[must_use]
-    pub fn family(&self) -> &BlockedFamily {
-        &self.family
-    }
-
-    /// Number of 512-bit Bloom blocks.
-    #[must_use]
-    pub fn blocks(&self) -> usize {
-        self.family.blocks()
-    }
-
-    /// The HashExpressor occupancy `t` (chains stored).
-    #[must_use]
-    pub fn expressor_entries(&self) -> usize {
-        self.he.inserted()
-    }
-
-    /// Bloom-array fill ratio after optimization.
-    #[must_use]
-    pub fn fill_ratio(&self) -> f64 {
-        self.bloom.fill_ratio()
-    }
-
-    /// Where this filter's payload words live (see `Habf::backing`).
-    #[must_use]
-    pub fn backing(&self) -> Backing {
-        self.bloom.backing().combine(self.he.cells().backing())
-    }
-
-    /// The §III-F FPR envelope at the final load (the blocked layout adds
-    /// a small Poisson-imbalance penalty on top).
-    #[must_use]
-    pub fn fpr_envelope(&self) -> f64 {
-        let rho = self.bloom.fill_ratio();
-        let f_star = rho.powi(self.h0.len() as i32);
-        crate::theory::habf_fpr_envelope(f_star, self.he.inserted(), self.he.omega())
-    }
-
-    /// Re-runs TPJO at this filter's exact geometry (see `Habf::rebuild`).
-    /// The calibrated selector is part of the geometry and is preserved.
-    pub fn rebuild(
-        &mut self,
-        positives: &[impl AsRef<[u8]> + Sync],
-        negatives: &[(impl AsRef<[u8]>, f64)],
-        seed: u64,
-    ) {
-        *self = self.rebuilt_from(positives, negatives, seed);
-    }
-
-    /// [`BlockedHabf::rebuild`] into a fresh filter (see
-    /// `Habf::rebuilt_from`).
-    #[must_use]
-    pub fn rebuilt_from(
-        &self,
-        positives: &[impl AsRef<[u8]> + Sync],
-        negatives: &[(impl AsRef<[u8]>, f64)],
-        seed: u64,
-    ) -> Self {
-        let cfg = TpjoConfig {
-            k: self.h0.len(),
-            m: self.bloom.len(),
-            omega: self.he.omega(),
-            cell_bits: self.he.cell_bits(),
-            use_gamma: true,
-            requeue_cap: 3,
-            seed,
-            enable_class_c: true,
-            overlap_tiebreak: true,
-        };
-        let out = tpjo::run(positives, negatives, &self.family, &cfg);
-        Self {
-            bloom: out.bloom,
-            he: out.he,
-            h0: out.h0,
-            family: self.family.clone(),
-            stats: out.stats,
-        }
-    }
-
-    /// Issues a prefetch for the one cache line `key`'s Bloom probes
-    /// live in (the batch pipeline's phase-1 call).
-    #[inline]
-    pub fn prefetch_key(&self, key: &[u8]) {
-        self.bloom.prefetch_bit(self.family.block_start(key));
-    }
-
-    #[inline]
-    fn round1_at(&self, start: usize, key: &[u8]) -> bool {
-        self.h0
-            .iter()
-            .all(|&id| self.bloom.get_probe(start + self.family.offset(id, key)))
-    }
-
-    /// The two-round query with the block start already resolved — the
-    /// second phase of the batch pipeline.
-    #[inline]
-    fn contains_at(&self, start: usize, key: &[u8]) -> bool {
-        if self.round1_at(start, key) {
-            return true;
-        }
-        match self.he.query(key, &self.family) {
-            Some(phi) => phi
-                .iter()
-                .all(|&id| self.bloom.get_probe(start + self.family.offset(id, key))),
-            None => false,
-        }
-    }
-
-    /// Batch membership: resolve every chunk key's block and prefetch
-    /// its line, then run the two-round query — round 1 (and any round-2
-    /// re-test) hits an already-resident cache line.
-    pub fn contains_batch_into(&self, keys: &[&[u8]], out: &mut Vec<bool>) {
-        out.clear();
-        out.reserve(keys.len());
-        let prefetch = habf_util::prefetch::enabled();
-        let mut starts = [0usize; habf_filters::PROBE_CHUNK];
-        for chunk in keys.chunks(habf_filters::PROBE_CHUNK) {
-            if prefetch {
-                // Pull the key bytes in first: on a large shuffled batch
-                // the keys themselves are heap-random reads.
-                for key in chunk {
-                    habf_util::prefetch::prefetch_bytes(key);
-                }
-            }
-            for (slot, key) in starts.iter_mut().zip(chunk) {
-                let start = self.family.block_start(key);
-                *slot = start;
-                if prefetch {
-                    self.bloom.prefetch_bit(start);
-                }
-            }
-            out.extend(
-                starts[..chunk.len()]
-                    .iter()
-                    .zip(chunk)
-                    .map(|(&start, key)| self.contains_at(start, key)),
-            );
-        }
-    }
-
-    /// The persist image (kind 2): the HABF layout with the `sim_seed`
-    /// slot packing `selector registry index << 56 | block seed`.
-    pub(crate) fn image(&self) -> persist::Image<'_> {
-        persist::Image {
-            kind: 2,
-            k: self.h0.len(),
-            cell_bits: self.he.cell_bits(),
-            h0: self.h0.clone(),
-            family: HashProvider::len(&self.family),
-            sim_seed: ((self.family.selector().registry_index() as u64) << 56) | self.family.seed(),
-            bloom: &self.bloom,
-            he: &self.he,
-        }
-    }
-
-    /// Rebuilds from a decoded kind-2 image, validating the blocked
-    /// extras the generic codec does not know about: the selector index
-    /// must name a registered hash and the Bloom array must span whole
-    /// blocks.
-    pub(crate) fn try_from_decoded(d: Decoded) -> Result<Self, PersistError> {
-        let selector = usize::try_from(d.sim_seed >> 56)
+    /// Validates the blocked extras the shared codec does not know about:
+    /// the selector index must name a registered hash and the Bloom array
+    /// must span whole blocks.
+    fn from_image(size: usize, sim_seed: u64, m: usize) -> Result<Self, PersistError> {
+        let selector = usize::try_from(sim_seed >> 56)
             .ok()
             .and_then(HashFunction::from_registry_index)
             .ok_or(PersistError::Corrupt("unknown block-selector hash"))?;
-        if d.bloom.is_empty() || d.bloom.len() % BLOCK_BITS != 0 {
+        if m == 0 || m % BLOCK_BITS != 0 {
             return Err(PersistError::Corrupt(
                 "blocked Bloom array not whole 512-bit blocks",
             ));
         }
-        Ok(Self {
-            family: BlockedFamily::new(
-                HashFamily::with_size(d.family),
-                d.bloom.len(),
-                selector,
-                d.sim_seed & SEED_MASK,
-            ),
-            bloom: d.bloom,
-            he: d.he,
-            h0: d.h0,
-            stats: BuildStats::default(),
+        let inner = HashFamily::from_image(size, 0, m)?;
+        Ok(Self::new(inner, m, selector, sim_seed))
+    }
+
+    /// `selector registry index << 56 | block seed`.
+    fn sim_seed(&self) -> u64 {
+        ((self.selector.registry_index() as u64) << 56) | self.seed
+    }
+
+    #[inline]
+    fn bind<'a>(&'a self, key: &[u8]) -> Self::Bound<'a> {
+        crate::hashing::BlockBound {
+            family: self,
+            start: self.block_start(key),
+        }
+    }
+
+    /// The key's block: one line holds every probe of both rounds.
+    #[inline]
+    fn plan_line(&self, key: &[u8]) -> Option<usize> {
+        Some(self.block_start(key))
+    }
+
+    #[inline]
+    fn bind_line(&self, start: usize) -> Option<Self::Bound<'_>> {
+        Some(crate::hashing::BlockBound {
+            family: self,
+            start,
         })
     }
-}
 
-impl Filter for BlockedHabf {
-    fn contains(&self, key: &[u8]) -> bool {
-        self.contains_at(self.family.block_start(key), key)
-    }
-
-    fn space_bits(&self) -> usize {
-        self.bloom.len() + self.he.space_bits()
-    }
-
-    fn name(&self) -> &'static str {
-        "BlockedHABF"
+    fn metadata(&self) -> Vec<(&'static str, String)> {
+        vec![
+            ("blocks (512-bit)", self.blocks().to_string()),
+            ("block selector", self.selector.name().to_string()),
+        ]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Habf;
+    use crate::persist;
+    use crate::{BatchQuery, Habf};
+    use habf_filters::Filter;
 
     fn keys(n: usize, tag: &str) -> Vec<Vec<u8>> {
         (0..n).map(|i| format!("{tag}:{i}").into_bytes()).collect()
@@ -488,7 +263,7 @@ mod tests {
         let neg = costed(100, "neg");
         let f = BlockedHabf::build(&pos, &neg, &config(1_000 * 10));
         assert_eq!(f.family().m() % BLOCK_BITS, 0);
-        assert!(f.blocks() >= 1);
+        assert!(f.family().blocks() >= 1);
         assert!(
             f.space_bits() <= 1_000 * 10,
             "blockifying must not grow the budget"
@@ -559,13 +334,11 @@ mod tests {
             .collect();
         let refs: Vec<&[u8]> = mixed.iter().map(Vec::as_slice).collect();
         let scalar: Vec<bool> = refs.iter().map(|k| f.contains(k)).collect();
-        let mut on = Vec::new();
-        let mut off = Vec::new();
-        f.contains_batch_into(&refs, &mut on);
-        {
+        let on = f.contains_batch(&refs);
+        let off = {
             let _prefetch_off = habf_util::prefetch::scoped(false);
-            f.contains_batch_into(&refs, &mut off);
-        }
+            f.contains_batch(&refs)
+        };
         assert_eq!(scalar, on);
         assert_eq!(scalar, off);
     }
@@ -609,11 +382,12 @@ mod tests {
         let pos = keys(1_000, "pos");
         let neg = costed(1_000, "neg");
         let mut f = BlockedHabf::build(&pos, &neg, &config(1_000 * 10));
-        let (space, blocks, selector) = (f.space_bits(), f.blocks(), f.family().selector());
+        let (space, blocks, selector) =
+            (f.space_bits(), f.family().blocks(), f.family().selector());
         let mined = costed(400, "mined");
         f.rebuild(&pos, &mined, 7);
         assert_eq!(f.space_bits(), space);
-        assert_eq!(f.blocks(), blocks);
+        assert_eq!(f.family().blocks(), blocks);
         assert_eq!(f.family().selector(), selector);
         for k in &pos {
             assert!(f.contains(k), "member dropped by rebuild");

@@ -38,14 +38,17 @@
 
 use crate::blocked::BlockedHabf;
 use crate::filter_api::DynFilter;
-use crate::habf::{FHabf, Habf};
-use crate::persist::{self, Decoded, PersistError, Reader, V2Shard};
+use crate::habf::{FHabf, Habf, HabfOver};
+use crate::hashing::ShardHashing;
+use crate::persist::{self, Decoded, PersistError, Reader};
 use crate::registry::{self, ImageFormat, LoadedFilter};
 use crate::scalable::{self, ScalableHabf};
-use crate::sharded::{ShardFilter, ShardedHabf};
+use crate::sharded::ShardedHabf;
 use habf_filters::{
     BinaryFuseFilter, BlockedBloomFilter, BloomFilter, WeightedBloomFilter, XorFilter,
 };
+use habf_hashing::double::SimulatedFamily;
+use habf_hashing::HashFamily;
 use habf_util::{BitVec, PackedCells, Words};
 
 /// The retired container version: opaque, unaligned payload.
@@ -99,11 +102,11 @@ pub(crate) fn load_legacy(buf: &[u8]) -> Result<LoadedFilter, PersistError> {
 /// registered id that never had a v1 codec.
 pub(crate) fn load_v1(id: &str, payload: &[u8]) -> Result<Box<dyn DynFilter>, PersistError> {
     Ok(match id {
-        "habf" => Box::new(Habf::from_decoded(decode_habf(payload, 0)?)),
-        "fhabf" => Box::new(FHabf::from_decoded(decode_habf(payload, 1)?)),
-        "blocked-habf" => Box::new(BlockedHabf::try_from_decoded(decode_habf(payload, 2)?)?),
-        "sharded-habf" => Box::new(load_sharded::<Habf>(payload)?),
-        "sharded-fhabf" => Box::new(load_sharded::<FHabf>(payload)?),
+        "habf" => Box::new(Habf::from_decoded(decode_habf(payload, 0)?)?),
+        "fhabf" => Box::new(FHabf::from_decoded(decode_habf(payload, 1)?)?),
+        "blocked-habf" => Box::new(BlockedHabf::from_decoded(decode_habf(payload, 2)?)?),
+        "sharded-habf" => Box::new(load_sharded::<HashFamily>(payload)?),
+        "sharded-fhabf" => Box::new(load_sharded::<SimulatedFamily>(payload)?),
         "scalable-habf" => Box::new(load_scalable(payload)?),
         "bloom" => Box::new(load_bloom(payload)?),
         "weighted-bloom" => Box::new(load_weighted_bloom(payload)?),
@@ -129,11 +132,8 @@ fn decode_habf(buf: &[u8], expect_kind: u8) -> Result<Decoded, PersistError> {
     Ok(d)
 }
 
-/// Decodes a legacy `HABS` image whose shards are of type `F`.
-fn load_sharded<F>(buf: &[u8]) -> Result<ShardedHabf<F>, PersistError>
-where
-    F: ShardFilter + V2Shard,
-{
+/// Decodes a legacy `HABS` image whose shards run over the hashing `H`.
+fn load_sharded<H: ShardHashing>(buf: &[u8]) -> Result<ShardedHabf<HabfOver<H>>, PersistError> {
     let mut r = Reader::new(buf);
     if r.bytes(4)? != HABS_MAGIC {
         return Err(PersistError::BadMagic);
@@ -142,7 +142,7 @@ where
     if version != V1 {
         return Err(PersistError::BadVersion(version));
     }
-    if r.u8()? != F::KIND {
+    if r.u8()? != H::KIND {
         return Err(PersistError::WrongKind);
     }
     let shards = usize::try_from(r.u32()?).map_err(|_| PersistError::Truncated)?;
@@ -155,7 +155,8 @@ where
     let mut parts = Vec::with_capacity(shards);
     for _ in 0..shards {
         let len = r.count()?;
-        parts.push(F::from_decoded(decode_habf(r.bytes(len)?, F::KIND)?));
+        let shard = decode_habf(r.bytes(len)?, H::KIND)?;
+        parts.push(HabfOver::from_decoded(shard)?);
     }
     r.finish()?;
     Ok(ShardedHabf::from_shard_parts(
@@ -188,7 +189,7 @@ fn load_scalable(buf: &[u8]) -> Result<ScalableHabf, PersistError> {
     for _ in 0..tier_count {
         let (capacity, inserted) = scalable::decode_tier_counters(&mut r)?;
         let len = r.count()?;
-        let filter = Habf::from_decoded(decode_habf(r.bytes(len)?, 0)?);
+        let filter = Habf::from_decoded(decode_habf(r.bytes(len)?, 0)?)?;
         tiers.push((filter, capacity, inserted));
     }
     r.finish()?;

@@ -2,8 +2,11 @@
 //! zero-FNR query (paper §III-C, §III-E, Fig 1).
 
 use crate::hash_expressor::HashExpressor;
+use crate::hashing::Hashing;
+use crate::persist::{Decoded, Image, PersistError};
 use crate::tpjo::{self, BuildStats, TpjoConfig};
 use habf_filters::Filter;
+use habf_hashing::double::SimulatedFamily;
 use habf_hashing::{HashFamily, HashId, HashProvider, FAMILY_SIZE};
 use habf_util::{Backing, BitVec};
 
@@ -144,35 +147,32 @@ impl HabfConfig {
     pub fn usable_hashes(&self) -> usize {
         ((1usize << (self.cell_bits - 1)) - 1).min(FAMILY_SIZE)
     }
-
-    fn tpjo(&self, use_gamma: bool) -> TpjoConfig {
-        let (m, omega) = self.split();
-        TpjoConfig {
-            k: self.k,
-            m,
-            omega,
-            cell_bits: self.cell_bits,
-            use_gamma,
-            requeue_cap: self.requeue_cap,
-            seed: self.seed,
-            enable_class_c: true,
-            overlap_tiebreak: true,
-        }
-    }
 }
 
-/// The Hash Adaptive Bloom Filter.
+/// The Hash Adaptive Bloom Filter over the hashing `H`: a Bloom array,
+/// the initial functions `H0`, and the HashExpressor holding the
+/// customized chains TPJO chose. The paper's HABF, its f-HABF (§III-G)
+/// and the block-local layout are this one type over three hashings:
+/// [`Habf`], [`FHabf`] and [`crate::BlockedHabf`].
 #[derive(Clone)]
-pub struct Habf {
+pub struct HabfOver<H> {
     bloom: BitVec,
     he: HashExpressor,
     h0: Vec<HashId>,
-    family: HashFamily,
+    family: H,
     stats: BuildStats,
 }
 
-impl Habf {
-    /// Builds an HABF from the positive set and the cost-annotated
+/// The Hash Adaptive Bloom Filter over the Table II family.
+pub type Habf = HabfOver<HashFamily>;
+
+/// The fast variant (paper §III-G): the whole family is simulated by
+/// double hashing from one 128-bit base hash, and Γ is disabled during
+/// construction.
+pub type FHabf = HabfOver<SimulatedFamily>;
+
+impl<H: Hashing> HabfOver<H> {
+    /// Builds the filter from the positive set and the cost-annotated
     /// negative set, running the full TPJO optimization.
     ///
     /// # Panics
@@ -187,8 +187,28 @@ impl Habf {
         if let Err(e) = config.validate() {
             panic!("invalid HabfConfig: {e}");
         }
-        let family = HashFamily::with_size(config.usable_hashes());
-        let out = tpjo::run(positives, negatives, &family, &config.tpjo(true));
+        let (family, m) = H::for_config(positives, config);
+        let cfg = TpjoConfig {
+            k: config.k,
+            m,
+            omega: config.split().1,
+            cell_bits: config.cell_bits,
+            use_gamma: H::GAMMA,
+            requeue_cap: config.requeue_cap,
+            seed: config.seed,
+            enable_class_c: true,
+            overlap_tiebreak: true,
+        };
+        Self::from_tpjo(positives, negatives, family, &cfg)
+    }
+
+    fn from_tpjo(
+        positives: &[impl AsRef<[u8]> + Sync],
+        negatives: &[(impl AsRef<[u8]>, f64)],
+        family: H,
+        cfg: &TpjoConfig,
+    ) -> Self {
+        let out = tpjo::run(positives, negatives, &family, cfg);
         Self {
             bloom: out.bloom,
             he: out.he,
@@ -202,6 +222,12 @@ impl Habf {
     #[must_use]
     pub fn h0(&self) -> &[HashId] {
         &self.h0
+    }
+
+    /// The hash family the filter runs over.
+    #[must_use]
+    pub fn family(&self) -> &H {
+        &self.family
     }
 
     /// Optimizer counters.
@@ -238,9 +264,9 @@ impl Habf {
         *self = self.rebuilt_from(positives, negatives, seed);
     }
 
-    /// [`Habf::rebuild`] into a fresh filter: reads only this filter's
-    /// geometry and family, so nothing of its bits is copied, and leaves
-    /// it untouched.
+    /// [`HabfOver::rebuild`] into a fresh filter: reads only this
+    /// filter's geometry and family, so nothing of its bits is copied,
+    /// and leaves it untouched.
     #[must_use]
     pub fn rebuilt_from(
         &self,
@@ -253,20 +279,13 @@ impl Habf {
             m: self.bloom.len(),
             omega: self.he.omega(),
             cell_bits: self.he.cell_bits(),
-            use_gamma: true,
+            use_gamma: H::GAMMA,
             requeue_cap: 3,
             seed,
             enable_class_c: true,
             overlap_tiebreak: true,
         };
-        let out = tpjo::run(positives, negatives, &self.family, &cfg);
-        Self {
-            bloom: out.bloom,
-            he: out.he,
-            h0: out.h0,
-            family: self.family.clone(),
-            stats: out.stats,
-        }
+        Self::from_tpjo(positives, negatives, self.family.clone(), &cfg)
     }
 
     /// The HashExpressor occupancy `t` (chains stored).
@@ -281,40 +300,50 @@ impl Habf {
         self.bloom.fill_ratio()
     }
 
-    fn round1(&self, key: &[u8]) -> bool {
+    /// Round 1: probes `key`'s `H0` positions.
+    #[inline]
+    fn round1(&self, key: &[u8], bound: &H::Bound<'_>) -> bool {
         let m = self.bloom.len();
-        // Positions are reduced modulo `m`, so the bounds-masked probe is
-        // exact and keeps the panic branch out of the hot loop.
+        // Positions are reduced modulo `m` (or land inside the key's
+        // block), so the bounds-masked probe is exact and keeps the panic
+        // branch out of the hot loop.
         self.h0
             .iter()
-            .all(|&id| self.bloom.get_probe(self.family.position(id, key, m)))
+            .all(|&id| self.bloom.get_probe(bound.position(id, key, m)))
     }
 
     /// The round-2 re-test: retrieve the customized hash subset from the
     /// HashExpressor and probe it (the rare path — round 1 answers most
     /// keys).
-    fn round2(&self, key: &[u8]) -> bool {
-        match self.he.query(key, &self.family) {
-            Some(phi) => {
-                let m = self.bloom.len();
-                phi.iter()
-                    .all(|&id| self.bloom.get_probe(self.family.position(id, key, m)))
-            }
-            None => false,
-        }
+    #[inline]
+    fn round2(&self, key: &[u8], bound: &H::Bound<'_>) -> bool {
+        let m = self.bloom.len();
+        self.he.query(key, bound).is_some_and(|phi| {
+            phi.iter()
+                .all(|&id| self.bloom.get_probe(bound.position(id, key, m)))
+        })
     }
 
     /// Phase 1 of the batch pipeline: computes `key`'s round-1 probe
     /// positions **once**, appends them to `plan`, and (when `prefetch`)
-    /// hints their cache lines. Phase 2 ([`Habf::contains_planned`])
+    /// hints their cache lines. Phase 2 ([`HabfOver::contains_planned`])
     /// probes the same positions, so the pipeline never re-derives them —
     /// an earlier prefetch design that re-hashed at test time cost more
-    /// than the hidden latency repaid.
+    /// than the hidden latency repaid. A layout whose positions share one
+    /// line plans that line alone; phase 2 then runs round 1 lazily.
     #[inline]
     pub fn plan_round1(&self, key: &[u8], plan: &mut Vec<usize>, prefetch: bool) {
+        if let Some(line) = self.family.plan_line(key) {
+            if prefetch {
+                self.bloom.prefetch_bit(line);
+            }
+            plan.push(line);
+            return;
+        }
+        let bound = self.family.bind(key);
         let m = self.bloom.len();
         for &id in &self.h0 {
-            let pos = self.family.position(id, key, m);
+            let pos = bound.position(id, key, m);
             if prefetch {
                 self.bloom.prefetch_bit(pos);
             }
@@ -323,12 +352,15 @@ impl Habf {
     }
 
     /// Phase 2 of the batch pipeline: finishes the two-round query given
-    /// the round-1 positions [`Habf::plan_round1`] derived for this key.
-    /// Round 2 still hashes, but it only runs for round-1 misses.
+    /// what [`HabfOver::plan_round1`] planned for this key. Round 2 binds
+    /// the key again, but it only runs for round-1 misses.
     #[inline]
     #[must_use]
     pub fn contains_planned(&self, key: &[u8], plan: &[usize]) -> bool {
-        self.bloom.all_set(plan) || self.round2(key)
+        match plan.first().and_then(|&line| self.family.bind_line(line)) {
+            Some(bound) => self.round1(key, &bound) || self.round2(key, &bound),
+            None => self.bloom.all_set(plan) || self.round2(key, &self.family.bind(key)),
+        }
     }
 
     /// Where this filter's payload words live: `owned` after a build or a
@@ -346,12 +378,13 @@ impl Habf {
     /// (CA-LBF/IA-LBF, §II): the new key is inserted with `H0`, so round 1
     /// always accepts it — zero FNR is preserved. The trade-off is that the
     /// freshly set bits may resurrect false positives that TPJO had
-    /// optimized away; [`Habf::stats`] still describe the original build.
-    /// Rebuild periodically if the insert stream is large.
+    /// optimized away; [`HabfOver::stats`] still describe the original
+    /// build. Rebuild periodically if the insert stream is large.
     pub fn insert(&mut self, key: &[u8]) {
+        let bound = self.family.bind(key);
         let m = self.bloom.len();
         for &id in &self.h0 {
-            self.bloom.set(self.family.position(id, key, m));
+            self.bloom.set(bound.position(id, key, m));
         }
     }
 
@@ -359,22 +392,13 @@ impl Habf {
     /// examples, and the two-round-latency discussion of Fig 12).
     #[must_use]
     pub fn query_verbose(&self, key: &[u8]) -> QueryOutcome {
-        if self.round1(key) {
-            return QueryOutcome::Round1Positive;
-        }
-        match self.he.query(key, &self.family) {
-            Some(phi) => {
-                let m = self.bloom.len();
-                if phi
-                    .iter()
-                    .all(|&id| self.bloom.get_probe(self.family.position(id, key, m)))
-                {
-                    QueryOutcome::Round2Positive
-                } else {
-                    QueryOutcome::Negative
-                }
-            }
-            None => QueryOutcome::Negative,
+        let bound = self.family.bind(key);
+        if self.round1(key, &bound) {
+            QueryOutcome::Round1Positive
+        } else if self.round2(key, &bound) {
+            QueryOutcome::Round2Positive
+        } else {
+            QueryOutcome::Negative
         }
     }
 
@@ -389,15 +413,15 @@ impl Habf {
     }
 
     /// The persist image of this filter (header scalars + borrowed word
-    /// arrays), shared by the legacy writer and the v2 frame writer.
-    pub(crate) fn image(&self) -> crate::persist::Image<'_> {
-        crate::persist::Image {
-            kind: 0,
+    /// arrays).
+    pub(crate) fn image(&self) -> Image<'_> {
+        Image {
+            kind: H::KIND,
             k: self.h0.len(),
             cell_bits: self.he.cell_bits(),
-            h0: self.h0.clone(),
+            h0: &self.h0,
             family: self.family.len(),
-            sim_seed: 0,
+            sim_seed: self.family.sim_seed(),
             bloom: &self.bloom,
             he: &self.he,
         }
@@ -406,24 +430,18 @@ impl Habf {
     /// Rebuilds a filter from a decoded persist image (v2 or legacy; the
     /// storage may be owned words or a zero-copy view). Build-time
     /// [`BuildStats`] are not persisted.
-    pub(crate) fn from_decoded(d: crate::persist::Decoded) -> Self {
-        Self {
+    ///
+    /// # Errors
+    /// [`PersistError::Corrupt`] when the image names a family this
+    /// hashing cannot hold.
+    pub(crate) fn from_decoded(d: Decoded) -> Result<Self, PersistError> {
+        Ok(Self {
+            family: H::from_image(d.family, d.sim_seed, d.bloom.len())?,
             bloom: d.bloom,
             he: d.he,
             h0: d.h0,
-            family: HashFamily::with_size(d.family),
             stats: BuildStats::default(),
-        }
-    }
-}
-
-impl crate::persist::V2Shard for Habf {
-    fn v2_image(&self) -> crate::persist::Image<'_> {
-        self.image()
-    }
-
-    fn from_decoded(d: crate::persist::Decoded) -> Self {
-        Habf::from_decoded(d)
+        })
     }
 }
 
@@ -438,11 +456,13 @@ pub enum QueryOutcome {
     Negative,
 }
 
-impl Filter for Habf {
+impl<H: Hashing> Filter for HabfOver<H> {
     /// The two-round query (paper Fig 1): test with `H0`; on a miss,
     /// retrieve the customized subset from the HashExpressor and re-test.
+    /// One bound key serves both rounds and the chain walk.
     fn contains(&self, key: &[u8]) -> bool {
-        self.round1(key) || self.round2(key)
+        let bound = self.family.bind(key);
+        self.round1(key, &bound) || self.round2(key, &bound)
     }
 
     fn space_bits(&self) -> usize {
@@ -450,204 +470,7 @@ impl Filter for Habf {
     }
 
     fn name(&self) -> &'static str {
-        "HABF"
-    }
-}
-
-/// The fast variant (paper §III-G): the whole family is simulated by
-/// double hashing from one 128-bit base hash, and Γ is disabled during
-/// construction.
-#[derive(Clone)]
-pub struct FHabf {
-    bloom: BitVec,
-    he: HashExpressor,
-    h0: Vec<HashId>,
-    family: habf_hashing::double::SimulatedFamily,
-    stats: BuildStats,
-}
-
-impl FHabf {
-    /// Builds an f-HABF (double hashing, Γ disabled).
-    ///
-    /// # Panics
-    /// Panics on a degenerate configuration (see [`HabfConfig::validate`])
-    /// or an infeasible one (see [`tpjo::run`]).
-    #[must_use]
-    pub fn build(
-        positives: &[impl AsRef<[u8]> + Sync],
-        negatives: &[(impl AsRef<[u8]>, f64)],
-        config: &HabfConfig,
-    ) -> Self {
-        if let Err(e) = config.validate() {
-            panic!("invalid HabfConfig: {e}");
-        }
-        let size = (1usize << (config.cell_bits - 1)) - 1;
-        let family = habf_hashing::double::SimulatedFamily::new(size, config.seed ^ 0xFA57);
-        let out = tpjo::run(positives, negatives, &family, &config.tpjo(false));
-        Self {
-            bloom: out.bloom,
-            he: out.he,
-            h0: out.h0,
-            family,
-            stats: out.stats,
-        }
-    }
-
-    /// Optimizer counters.
-    #[must_use]
-    pub fn stats(&self) -> &BuildStats {
-        &self.stats
-    }
-
-    /// The initial hash-function ids `H0`.
-    #[must_use]
-    pub fn h0(&self) -> &[HashId] {
-        &self.h0
-    }
-
-    /// Re-runs the Γ-disabled fast construction at this filter's exact
-    /// geometry (see [`Habf::rebuild`]).
-    pub fn rebuild(
-        &mut self,
-        positives: &[impl AsRef<[u8]> + Sync],
-        negatives: &[(impl AsRef<[u8]>, f64)],
-        seed: u64,
-    ) {
-        *self = self.rebuilt_from(positives, negatives, seed);
-    }
-
-    /// [`FHabf::rebuild`] into a fresh filter (see [`Habf::rebuilt_from`]).
-    #[must_use]
-    pub fn rebuilt_from(
-        &self,
-        positives: &[impl AsRef<[u8]> + Sync],
-        negatives: &[(impl AsRef<[u8]>, f64)],
-        seed: u64,
-    ) -> Self {
-        let cfg = TpjoConfig {
-            k: self.h0.len(),
-            m: self.bloom.len(),
-            omega: self.he.omega(),
-            cell_bits: self.he.cell_bits(),
-            use_gamma: false,
-            requeue_cap: 3,
-            seed,
-            enable_class_c: true,
-            overlap_tiebreak: true,
-        };
-        let out = tpjo::run(positives, negatives, &self.family, &cfg);
-        Self {
-            bloom: out.bloom,
-            he: out.he,
-            h0: out.h0,
-            family: self.family,
-            stats: out.stats,
-        }
-    }
-
-    /// Where this filter's payload words live (see [`Habf::backing`]).
-    #[must_use]
-    pub fn backing(&self) -> Backing {
-        self.bloom.backing().combine(self.he.cells().backing())
-    }
-
-    /// Phase 1 of the batch pipeline (see [`Habf::plan_round1`]): one
-    /// xxh128 evaluation derives all round-1 positions, which are
-    /// appended to `plan` and (when `prefetch`) hinted. Only round-1
-    /// misses pay a second base-hash evaluation, in
-    /// [`FHabf::contains_planned`]'s round 2.
-    #[inline]
-    pub fn plan_round1(&self, key: &[u8], plan: &mut Vec<usize>, prefetch: bool) {
-        let bound = habf_hashing::double::KeyBoundSimulated::new(&self.family, key);
-        let m = self.bloom.len();
-        for &id in &self.h0 {
-            let pos = bound.position(id, key, m);
-            if prefetch {
-                self.bloom.prefetch_bit(pos);
-            }
-            plan.push(pos);
-        }
-    }
-
-    /// Phase 2 of the batch pipeline (see [`Habf::contains_planned`]).
-    #[inline]
-    #[must_use]
-    pub fn contains_planned(&self, key: &[u8], plan: &[usize]) -> bool {
-        if self.bloom.all_set(plan) {
-            return true;
-        }
-        let bound = habf_hashing::double::KeyBoundSimulated::new(&self.family, key);
-        let m = self.bloom.len();
-        match self.he.query(key, &bound) {
-            Some(phi) => phi
-                .iter()
-                .all(|&id| self.bloom.get_probe(bound.position(id, key, m))),
-            None => false,
-        }
-    }
-
-    /// The persist image of this filter (see [`Habf::image`]).
-    pub(crate) fn image(&self) -> crate::persist::Image<'_> {
-        crate::persist::Image {
-            kind: 1,
-            k: self.h0.len(),
-            cell_bits: self.he.cell_bits(),
-            h0: self.h0.clone(),
-            family: habf_hashing::HashProvider::len(&self.family),
-            sim_seed: self.family.seed(),
-            bloom: &self.bloom,
-            he: &self.he,
-        }
-    }
-
-    /// Rebuilds a filter from a decoded persist image.
-    pub(crate) fn from_decoded(d: crate::persist::Decoded) -> Self {
-        Self {
-            bloom: d.bloom,
-            he: d.he,
-            h0: d.h0,
-            family: habf_hashing::double::SimulatedFamily::new(d.family, d.sim_seed),
-            stats: BuildStats::default(),
-        }
-    }
-}
-
-impl crate::persist::V2Shard for FHabf {
-    fn v2_image(&self) -> crate::persist::Image<'_> {
-        self.image()
-    }
-
-    fn from_decoded(d: crate::persist::Decoded) -> Self {
-        FHabf::from_decoded(d)
-    }
-}
-
-impl Filter for FHabf {
-    fn contains(&self, key: &[u8]) -> bool {
-        // One xxh128 evaluation serves both rounds and the chain walk.
-        let bound = habf_hashing::double::KeyBoundSimulated::new(&self.family, key);
-        let m = self.bloom.len();
-        let round1 = self
-            .h0
-            .iter()
-            .all(|&id| self.bloom.get_probe(bound.position(id, key, m)));
-        if round1 {
-            return true;
-        }
-        match self.he.query(key, &bound) {
-            Some(phi) => phi
-                .iter()
-                .all(|&id| self.bloom.get_probe(bound.position(id, key, m))),
-            None => false,
-        }
-    }
-
-    fn space_bits(&self) -> usize {
-        self.bloom.len() + self.he.space_bits()
-    }
-
-    fn name(&self) -> &'static str {
-        "f-HABF"
+        H::NAME
     }
 }
 

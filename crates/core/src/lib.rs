@@ -40,10 +40,10 @@
 //! | §III-D runtime index `V` (Fig 4) | [`vindex`] |
 //! | §III-D runtime index `Γ` + Algorithm 1 | [`gamma`] |
 //! | §III-D Two-Phase Joint Optimization | [`tpjo`] |
-//! | §III-C/E two-round zero-FNR query | [`habf`] |
-//! | §III-G f-HABF (double hashing, Γ off) | [`habf::FHabf`] |
+//! | §III-C/E two-round zero-FNR query, one filter over any hashing | [`habf::HabfOver`] |
+//! | §III-G f-HABF: the same filter over double hashing, Γ off | [`habf::FHabf`] |
 //! | §IV theoretical analysis (Eqs 3, 11, 12, 19) | [`theory`] |
-//! | — block-partitioned bit layer (post-paper) | [`blocked`] |
+//! | — the same filter over a block-partitioned bit layer (post-paper) | [`blocked`] |
 //! | — batch-probe prefetch pipeline (post-paper) | [`probe`] |
 //! | — sharded concurrent serving (post-paper) | [`sharded`] |
 //! | — tiered elastic growth (post-paper) | [`scalable`] |
@@ -61,6 +61,7 @@ pub mod filter_api;
 pub mod gamma;
 pub mod habf;
 pub mod hash_expressor;
+mod hashing;
 pub mod persist;
 pub mod probe;
 pub mod registry;
@@ -77,7 +78,7 @@ pub use filter_api::{
     BatchQuery, BuildError, BuildInput, CloneFilter, DynFilter, FilterParams, FilterSpec, Growable,
     Rebuildable, SpaceBudget,
 };
-pub use habf::{ConfigError, FHabf, Habf, HabfConfig, QueryOutcome};
+pub use habf::{ConfigError, FHabf, Habf, HabfConfig, HabfOver, QueryOutcome};
 pub use hash_expressor::HashExpressor;
 pub use persist::{
     ContainerHeader, DecodedContainer, FrameEntry, FrameSource, FrameWriter, PersistError,

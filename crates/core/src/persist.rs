@@ -45,7 +45,9 @@
 //! vectors in `habf-hashing`), so a persisted HashExpressor chain decodes
 //! to the same functions forever.
 
+use crate::habf::HabfOver;
 use crate::hash_expressor::HashExpressor;
+use crate::hashing::Hashing;
 use habf_hashing::HashId;
 use habf_util::{BitVec, ImageBytes, PackedCells, SharedWords, Words};
 use std::sync::Arc;
@@ -549,20 +551,19 @@ impl<'a> FrameSource<'a> {
     }
 }
 
-/// The fields of one HABF-family filter (`Habf`, `FHabf`,
-/// `BlockedHabf`), borrowed for writing.
+/// The fields of one HABF filter, borrowed for writing.
 pub(crate) struct Image<'a> {
     pub kind: u8,
     pub k: usize,
     pub cell_bits: u32,
-    pub h0: Vec<HashId>,
+    pub h0: &'a [HashId],
     pub family: usize,
     pub sim_seed: u64,
     pub bloom: &'a BitVec,
     pub he: &'a HashExpressor,
 }
 
-/// One decoded HABF-family filter, ready for the type's `from_decoded`.
+/// One decoded HABF filter, ready for `HabfOver::from_decoded`.
 pub(crate) struct Decoded {
     pub h0: Vec<HashId>,
     pub family: usize,
@@ -571,52 +572,43 @@ pub(crate) struct Decoded {
     pub he: HashExpressor,
 }
 
-/// Crate-internal hooks the sharded v2 codec needs from its shard type:
-/// expose the persist image for writing, rebuild from a decode. Bounds on
-/// registry impls only — sealed to `Habf` / `FHabf` by visibility.
-pub(crate) trait V2Shard: Sized {
-    fn v2_image(&self) -> Image<'_>;
-    fn from_decoded(d: Decoded) -> Self;
-}
-
-/// Writes the v2 metadata block of one HABF-family image (every field
-/// except the bulk words, which go into frames):
+/// Writes one HABF image as its v2 metadata block (every field except
+/// the bulk words)
 ///
 /// ```text
 /// kind u8 | k u8 | cell_bits u8 | h0_len u8 | h0 bytes…
 /// family u64 | sim_seed u64 | m u64 | omega u64 | inserted u64
 /// ```
-pub(crate) fn encode_v2_meta(img: &Image<'_>, out: &mut Vec<u8>) {
+///
+/// and its two word frames (bloom bits, then expressor cells). A sharded
+/// or tiered filter writes one image per part, so its metadata holds the
+/// parts' blocks in order and its frame table their frames in order.
+pub(crate) fn write_v2<'a>(img: &Image<'a>, fw: &mut FrameWriter<'a>) {
+    let out = fw.meta();
     out.push(img.kind);
     out.push(img.k as u8);
     out.push(img.cell_bits as u8);
     out.push(img.h0.len() as u8);
-    out.extend_from_slice(&img.h0);
+    out.extend_from_slice(img.h0);
     out.extend_from_slice(&(img.family as u64).to_le_bytes());
     out.extend_from_slice(&img.sim_seed.to_le_bytes());
     out.extend_from_slice(&(img.bloom.len() as u64).to_le_bytes());
     out.extend_from_slice(&(img.he.omega() as u64).to_le_bytes());
     out.extend_from_slice(&(img.he.inserted() as u64).to_le_bytes());
-}
-
-/// Registers the two word frames of one HABF-family image (bloom bits,
-/// then expressor cells) in write order.
-pub(crate) fn push_v2_frames<'a>(img: &Image<'a>, fw: &mut FrameWriter<'a>) {
     fw.frame(img.bloom.words());
     fw.frame(img.he.cells().words());
 }
 
-/// Decodes one HABF-family v2 metadata block (written by
-/// [`encode_v2_meta`]) and pulls its two word frames from `frames`.
-pub(crate) fn decode_v2_meta(
+/// Decodes one HABF v2 metadata block (written by [`write_v2`]), pulls
+/// its two word frames from `frames`, and restores the filter over `H`.
+pub(crate) fn decode_v2<H: Hashing>(
     r: &mut Reader<'_>,
-    expect_kind: u8,
     frames: &mut FrameSource<'_>,
-) -> Result<Decoded, PersistError> {
-    decode_habf_fields(r, expect_kind, |_, n| frames.next_words(n))
+) -> Result<HabfOver<H>, PersistError> {
+    HabfOver::from_decoded(decode_habf_fields(r, H::KIND, |_, n| frames.next_words(n))?)
 }
 
-/// Decodes and range-checks the HABF-family fields in the order both the
+/// Decodes and range-checks the HABF fields in the order both the
 /// v2 metadata block and the legacy `HABF` image store them. `words`
 /// supplies each word array once its length is known — the bloom bits
 /// right after `m`, the expressor cells after `inserted` — from a v2

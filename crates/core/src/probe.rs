@@ -1,10 +1,12 @@
 //! Batch-probe plumbing: [`BatchQuery`] capability impls for every
 //! single-structure filter with a chunked hash→prefetch→test pipeline,
-//! plus the shared thread fan-out helper.
+//! the HABF plan-once pipeline, and the shared thread fan-out helper.
 //!
-//! Each filter's serial pipeline lives next to its data structure
-//! (`contains_batch_into`); this module adapts them all to the
-//! object-safe [`BatchQuery`] capability and adds the parallel path. The
+//! Each baseline's serial pipeline lives next to its data structure
+//! (`contains_batch_into`); the HABF one, shared by every hashing and by
+//! the tiered stack, lives here (`contains_batch_any`). This module
+//! adapts them all to the object-safe [`BatchQuery`] capability and adds
+//! the parallel path. The
 //! fan-out helper is deliberately dumb — contiguous key ranges, one
 //! worker per range — because the pipelines are embarrassingly parallel
 //! and input order must be preserved. Below
@@ -12,8 +14,9 @@
 //! the probe work, so small batches run serially no matter how many
 //! threads were requested.
 
-use crate::blocked::BlockedHabf;
 use crate::filter_api::BatchQuery;
+use crate::habf::HabfOver;
+use crate::hashing::Hashing;
 use crate::scalable::ScalableHabf;
 use habf_filters::{BinaryFuseFilter, BlockedBloomFilter, BloomFilter, WeightedBloomFilter};
 
@@ -71,9 +74,70 @@ where
     out
 }
 
+/// The HABF plan-once pipeline over an OR of filters, answering `keys`
+/// in input order into `out`. Per [`habf_filters::PROBE_CHUNK`] keys,
+/// each filter in `filters` order plans the round-1 positions of the
+/// keys no earlier filter accepted ([`HabfOver::plan_round1`]), then
+/// tests them ([`HabfOver::contains_planned`]); the keys it rejects go
+/// on to the next filter. One filter is the plain batch; the tiered
+/// stack passes its tiers in probe order.
+pub(crate) fn contains_batch_any<'f, H: Hashing>(
+    filters: impl Iterator<Item = &'f HabfOver<H>> + Clone,
+    keys: &[&[u8]],
+    out: &mut Vec<bool>,
+) {
+    out.clear();
+    out.resize(keys.len(), false);
+    let prefetch = habf_util::prefetch::enabled();
+    let mut pending: Vec<usize> = Vec::with_capacity(habf_filters::PROBE_CHUNK);
+    let mut plan: Vec<usize> = Vec::new();
+    let mut plan_ends: Vec<usize> = Vec::with_capacity(habf_filters::PROBE_CHUNK);
+    for (chunk, answers) in keys
+        .chunks(habf_filters::PROBE_CHUNK)
+        .zip(out.chunks_mut(habf_filters::PROBE_CHUNK))
+    {
+        if prefetch {
+            for key in chunk {
+                habf_util::prefetch::prefetch_bytes(key);
+            }
+        }
+        pending.clear();
+        pending.extend(0..chunk.len());
+        for filter in filters.clone() {
+            plan.clear();
+            plan_ends.clear();
+            for &i in &pending {
+                filter.plan_round1(chunk[i], &mut plan, prefetch);
+                plan_ends.push(plan.len());
+            }
+            let (mut from, mut kept) = (0, 0);
+            for j in 0..pending.len() {
+                let (i, to) = (pending[j], plan_ends[j]);
+                if filter.contains_planned(chunk[i], &plan[from..to]) {
+                    answers[i] = true;
+                } else {
+                    pending[kept] = i;
+                    kept += 1;
+                }
+                from = to;
+            }
+            pending.truncate(kept);
+            if pending.is_empty() {
+                break;
+            }
+        }
+    }
+}
+
+impl<H: Hashing> HabfOver<H> {
+    fn contains_batch_into(&self, keys: &[&[u8]], out: &mut Vec<bool>) {
+        contains_batch_any(std::iter::once(self), keys, out);
+    }
+}
+
 macro_rules! impl_batch_query {
-    ($($ty:ty),+ $(,)?) => {$(
-        impl BatchQuery for $ty {
+    ($([$($generics:tt)*] $ty:ty),+ $(,)?) => {$(
+        impl<$($generics)*> BatchQuery for $ty {
             fn contains_batch(&self, keys: &[&[u8]]) -> Vec<bool> {
                 let mut out = Vec::new();
                 self.contains_batch_into(keys, &mut out);
@@ -90,12 +154,12 @@ macro_rules! impl_batch_query {
 }
 
 impl_batch_query!(
-    BloomFilter,
-    WeightedBloomFilter,
-    BlockedBloomFilter,
-    BinaryFuseFilter,
-    BlockedHabf,
-    ScalableHabf,
+    [] BloomFilter,
+    [] WeightedBloomFilter,
+    [] BlockedBloomFilter,
+    [] BinaryFuseFilter,
+    [H: Hashing] HabfOver<H>,
+    [] ScalableHabf,
 );
 
 #[cfg(test)]
@@ -144,7 +208,7 @@ mod tests {
             Box::new(WeightedBloomFilter::build(&pos, &neg, 2_000 * 10, 100)),
             Box::new(BlockedBloomFilter::build(&pos, 2_000 * 10)),
             Box::new(BinaryFuseFilter::build(&pos, 2_000 * 10)),
-            Box::new(BlockedHabf::build(
+            Box::new(crate::BlockedHabf::build(
                 &pos,
                 &neg,
                 &crate::HabfConfig::with_total_bits(2_000 * 10),

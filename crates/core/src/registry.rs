@@ -12,20 +12,22 @@
 //! readers in `crate::compat`, so every image ever shipped remains
 //! loadable through the same entry point.
 
-use crate::blocked::BlockedHabf;
+use crate::blocked::BlockedFamily;
 use crate::compat;
 use crate::filter_api::{
     BatchQuery, BuildError, BuildInput, DynFilter, FilterParams, Growable, Rebuildable,
 };
-use crate::habf::{FHabf, Habf};
-use crate::persist::{self, FrameSource, FrameWriter, PersistError, Reader, V2Shard};
+use crate::habf::HabfOver;
+use crate::hashing::{Hashing, ShardHashing};
+use crate::persist::{self, FrameSource, FrameWriter, PersistError, Reader};
 use crate::scalable::{self, GrowthParams, ScalableHabf};
-use crate::sharded::{ShardFilter, ShardedHabf};
+use crate::sharded::ShardedHabf;
 use habf_filters::{
     BinaryFuseFilter, BlockedBloomFilter, BloomFilter, BloomHashStrategy, Filter,
     WeightedBloomFilter, XorFilter,
 };
-use habf_hashing::HashFunction;
+use habf_hashing::double::SimulatedFamily;
+use habf_hashing::{HashFamily, HashFunction};
 use habf_util::{Backing, BitVec, ImageBytes, PackedCells};
 use std::sync::Arc;
 
@@ -64,26 +66,26 @@ pub fn entries() -> &'static [FilterEntry] {
         FilterEntry {
             id: "habf",
             summary: "Hash Adaptive Bloom Filter (full TPJO, two-round query)",
-            build: build_habf,
-            load_v2: load_habf_v2,
+            build: build_habf::<HashFamily>,
+            load_v2: load_habf_v2::<HashFamily>,
         },
         FilterEntry {
             id: "fhabf",
             summary: "fast HABF (double hashing, gamma off)",
-            build: build_fhabf,
-            load_v2: load_fhabf_v2,
+            build: build_habf::<SimulatedFamily>,
+            load_v2: load_habf_v2::<SimulatedFamily>,
         },
         FilterEntry {
             id: "sharded-habf",
             summary: "HABF sharded by a splitter hash, built in parallel",
-            build: build_sharded_habf,
-            load_v2: load_sharded_habf_v2,
+            build: build_sharded::<HashFamily>,
+            load_v2: load_sharded_v2::<HashFamily>,
         },
         FilterEntry {
             id: "sharded-fhabf",
             summary: "f-HABF sharded by a splitter hash, built in parallel",
-            build: build_sharded_fhabf,
-            load_v2: load_sharded_fhabf_v2,
+            build: build_sharded::<SimulatedFamily>,
+            load_v2: load_sharded_v2::<SimulatedFamily>,
         },
         FilterEntry {
             id: "bloom",
@@ -112,8 +114,8 @@ pub fn entries() -> &'static [FilterEntry] {
         FilterEntry {
             id: "blocked-habf",
             summary: "HABF over a cache-line-blocked bit layer",
-            build: build_blocked_habf,
-            load_v2: load_blocked_habf_v2,
+            build: build_habf::<BlockedFamily>,
+            load_v2: load_habf_v2::<BlockedFamily>,
         },
         FilterEntry {
             id: "binary-fuse",
@@ -309,33 +311,39 @@ pub fn load_mmap(path: impl AsRef<std::path::Path>) -> Result<LoadedFilter, Open
 }
 
 // ---------------------------------------------------------------------
-// HABF family: DynFilter impls + build/load dispatch targets. The v2
-// codecs split each filter into metadata + aligned word frames.
+// HABF: one DynFilter impl per layout (single, sharded) over every
+// hashing, plus the build/load dispatch targets. The v2 codecs split
+// each filter into metadata + aligned word frames.
 // ---------------------------------------------------------------------
 
-impl DynFilter for Habf {
+impl<H: Hashing> DynFilter for HabfOver<H> {
     fn filter_id(&self) -> &'static str {
-        "habf"
+        H::ID
     }
 
+    /// One HABF image (see `persist::write_v2`).
     fn write_payload_v2<'a>(&'a self, out: &mut FrameWriter<'a>) {
-        let img = self.v2_image();
-        persist::encode_v2_meta(&img, out.meta());
-        persist::push_v2_frames(&img, out);
+        persist::write_v2(&self.image(), out);
     }
 
     fn backing(&self) -> Backing {
-        Habf::backing(self)
+        HabfOver::backing(self)
     }
 
     fn metadata(&self) -> Vec<(&'static str, String)> {
-        vec![
-            ("hashes per key (k)", self.h0().len().to_string()),
+        let mut rows = vec![("hashes per key (k)", self.h0().len().to_string())];
+        rows.extend(self.family().metadata());
+        rows.extend([
             ("expressor entries", self.expressor_entries().to_string()),
             ("bloom fill ratio", format!("{:.4}", self.fill_ratio())),
             ("fpr envelope", format!("{:.6}", self.fpr_envelope())),
             ("saturation", format!("{:.4}", self.saturation())),
-        ]
+        ]);
+        rows
+    }
+
+    fn as_batch(&self) -> Option<&dyn BatchQuery> {
+        Some(self)
     }
 
     fn as_rebuildable(&mut self) -> Option<&mut dyn Rebuildable> {
@@ -354,10 +362,10 @@ impl DynFilter for Habf {
     }
 }
 
-impl Rebuildable for Habf {
+impl<H: Hashing> Rebuildable for HabfOver<H> {
     fn rebuild(&mut self, input: &BuildInput<'_>, seed: u64) -> Result<(), BuildError> {
         input.validate_costs()?;
-        Habf::rebuild(self, &input.members, &input.merged_negatives(), seed);
+        HabfOver::rebuild(self, &input.members, &input.merged_negatives(), seed);
         Ok(())
     }
 }
@@ -375,81 +383,28 @@ fn rebuilt_over<F: DynFilter + 'static>(
     Ok(Box::new(rebuild(&input.merged_negatives())))
 }
 
-impl DynFilter for FHabf {
+impl<H: ShardHashing> DynFilter for ShardedHabf<HabfOver<H>> {
     fn filter_id(&self) -> &'static str {
-        "fhabf"
-    }
-
-    fn write_payload_v2<'a>(&'a self, out: &mut FrameWriter<'a>) {
-        let img = self.v2_image();
-        persist::encode_v2_meta(&img, out.meta());
-        persist::push_v2_frames(&img, out);
-    }
-
-    fn backing(&self) -> Backing {
-        FHabf::backing(self)
-    }
-
-    fn metadata(&self) -> Vec<(&'static str, String)> {
-        vec![
-            ("hashes per key (k)", self.h0().len().to_string()),
-            ("saturation", format!("{:.4}", self.saturation())),
-        ]
-    }
-
-    fn as_rebuildable(&mut self) -> Option<&mut dyn Rebuildable> {
-        Some(self)
-    }
-
-    fn rebuilt(
-        &self,
-        members: &[Vec<u8>],
-        hints: &[(Vec<u8>, f64)],
-        seed: u64,
-    ) -> Option<Result<Box<dyn DynFilter>, BuildError>> {
-        Some(rebuilt_over(hints, |negatives| {
-            self.rebuilt_from(members, negatives, seed)
-        }))
-    }
-}
-
-impl Rebuildable for FHabf {
-    fn rebuild(&mut self, input: &BuildInput<'_>, seed: u64) -> Result<(), BuildError> {
-        input.validate_costs()?;
-        FHabf::rebuild(self, &input.members, &input.merged_negatives(), seed);
-        Ok(())
-    }
-}
-
-impl<F: ShardFilter + Clone + V2Shard + 'static> DynFilter for ShardedHabf<F> {
-    fn filter_id(&self) -> &'static str {
-        if F::KIND == 0 {
-            "sharded-habf"
-        } else {
-            "sharded-fhabf"
-        }
+        H::SHARDED_ID
     }
 
     /// v2 metadata:
     /// ```text
     /// kind u8 | shards u32 | splitter_seed u64 | built u64 | inserted u64
-    /// per shard: the HABF-family meta block (see persist::encode_v2_meta)
+    /// per shard: the HABF meta block (see persist::write_v2)
     /// ```
     /// followed by two word frames per shard (bloom bits, expressor
     /// cells) in shard order — which is the frame table `habf inspect`
     /// prints as per-shard payload offsets.
     fn write_payload_v2<'a>(&'a self, out: &mut FrameWriter<'a>) {
         let meta = out.meta();
-        meta.push(F::KIND);
+        meta.push(H::KIND);
         meta.extend_from_slice(&(self.shard_count() as u32).to_le_bytes());
         meta.extend_from_slice(&self.splitter_seed().to_le_bytes());
         meta.extend_from_slice(&(self.built_keys() as u64).to_le_bytes());
         meta.extend_from_slice(&(self.inserted_since_build() as u64).to_le_bytes());
         for i in 0..self.shard_count() {
-            persist::encode_v2_meta(&self.shard(i).v2_image(), meta);
-        }
-        for i in 0..self.shard_count() {
-            persist::push_v2_frames(&self.shard(i).v2_image(), out);
+            self.shard(i).write_payload_v2(out);
         }
     }
 
@@ -508,7 +463,7 @@ impl<F: ShardFilter + Clone + V2Shard + 'static> DynFilter for ShardedHabf<F> {
     }
 }
 
-impl<F: ShardFilter> BatchQuery for ShardedHabf<F> {
+impl<H: ShardHashing> BatchQuery for ShardedHabf<HabfOver<H>> {
     fn contains_batch(&self, keys: &[&[u8]]) -> Vec<bool> {
         ShardedHabf::contains_batch(self, keys)
     }
@@ -518,7 +473,7 @@ impl<F: ShardFilter> BatchQuery for ShardedHabf<F> {
     }
 }
 
-impl<F: ShardFilter> Rebuildable for ShardedHabf<F> {
+impl<H: ShardHashing> Rebuildable for ShardedHabf<HabfOver<H>> {
     fn rebuild(&mut self, input: &BuildInput<'_>, seed: u64) -> Result<(), BuildError> {
         input.validate_costs()?;
         self.rebuild_in_place(&input.members, &input.merged_negatives(), seed);
@@ -526,86 +481,53 @@ impl<F: ShardFilter> Rebuildable for ShardedHabf<F> {
     }
 }
 
-fn build_habf(p: &FilterParams, input: &BuildInput<'_>) -> Result<Box<dyn DynFilter>, BuildError> {
+fn build_habf<H: Hashing>(
+    p: &FilterParams,
+    input: &BuildInput<'_>,
+) -> Result<Box<dyn DynFilter>, BuildError> {
     let cfg = p.habf_config(input.members.len());
     cfg.validate()?;
-    Ok(Box::new(Habf::build(
+    Ok(Box::new(HabfOver::<H>::build(
         &input.members,
         &input.merged_negatives(),
         &cfg,
     )))
 }
 
-fn build_fhabf(p: &FilterParams, input: &BuildInput<'_>) -> Result<Box<dyn DynFilter>, BuildError> {
-    let cfg = p.habf_config(input.members.len());
-    cfg.validate()?;
-    Ok(Box::new(FHabf::build(
-        &input.members,
-        &input.merged_negatives(),
-        &cfg,
-    )))
-}
-
-fn build_sharded_habf(
+fn build_sharded<H: ShardHashing>(
     p: &FilterParams,
     input: &BuildInput<'_>,
 ) -> Result<Box<dyn DynFilter>, BuildError> {
     let cfg = p.sharded_config(input.members.len());
     cfg.validate()?;
-    Ok(Box::new(ShardedHabf::<Habf>::build_par(
+    Ok(Box::new(ShardedHabf::<HabfOver<H>>::build_par(
         &input.members,
         &input.merged_negatives(),
         &cfg,
     )))
 }
 
-fn build_sharded_fhabf(
-    p: &FilterParams,
-    input: &BuildInput<'_>,
-) -> Result<Box<dyn DynFilter>, BuildError> {
-    let cfg = p.sharded_config(input.members.len());
-    cfg.validate()?;
-    Ok(Box::new(ShardedHabf::<FHabf>::build_par(
-        &input.members,
-        &input.merged_negatives(),
-        &cfg,
-    )))
-}
-
-fn load_habf_v2(
+fn load_habf_v2<H: Hashing>(
     meta: &[u8],
     frames: &mut FrameSource<'_>,
 ) -> Result<Box<dyn DynFilter>, PersistError> {
     let mut r = Reader::new(meta);
-    let d = persist::decode_v2_meta(&mut r, 0, frames)?;
+    let f = persist::decode_v2::<H>(&mut r, frames)?;
     r.finish()?;
-    Ok(Box::new(Habf::from_decoded(d)))
-}
-
-fn load_fhabf_v2(
-    meta: &[u8],
-    frames: &mut FrameSource<'_>,
-) -> Result<Box<dyn DynFilter>, PersistError> {
-    let mut r = Reader::new(meta);
-    let d = persist::decode_v2_meta(&mut r, 1, frames)?;
-    r.finish()?;
-    Ok(Box::new(FHabf::from_decoded(d)))
+    Ok(Box::new(f))
 }
 
 /// Decodes a sharded v2 payload (see the `write_payload_v2` layout on the
 /// `ShardedHabf` impl): each shard's meta block plus its two frames, in
 /// shard order — frames may be zero-copy views, so a loaded sharded
 /// filter serves every shard straight from the image.
-fn load_sharded_v2<F>(
+fn load_sharded_v2<H: ShardHashing>(
     meta: &[u8],
     frames: &mut FrameSource<'_>,
-) -> Result<Box<dyn DynFilter>, PersistError>
-where
-    F: ShardFilter + Clone + V2Shard + 'static,
-{
+) -> Result<Box<dyn DynFilter>, PersistError> {
     let mut r = Reader::new(meta);
     let kind = r.u8()?;
-    if kind != F::KIND {
+    if kind != H::KIND {
         return Err(PersistError::WrongKind);
     }
     let shards = usize::try_from(r.u32()?).map_err(|_| PersistError::Truncated)?;
@@ -617,8 +539,7 @@ where
     let inserted = usize::try_from(r.u64()?).map_err(|_| PersistError::Truncated)?;
     let mut parts = Vec::with_capacity(shards);
     for _ in 0..shards {
-        let d = persist::decode_v2_meta(&mut r, F::KIND, frames)?;
-        parts.push(F::from_decoded(d));
+        parts.push(persist::decode_v2::<H>(&mut r, frames)?);
     }
     r.finish()?;
     Ok(Box::new(ShardedHabf::from_shard_parts(
@@ -627,20 +548,6 @@ where
         built_keys,
         inserted,
     )))
-}
-
-fn load_sharded_habf_v2(
-    meta: &[u8],
-    frames: &mut FrameSource<'_>,
-) -> Result<Box<dyn DynFilter>, PersistError> {
-    load_sharded_v2::<Habf>(meta, frames)
-}
-
-fn load_sharded_fhabf_v2(
-    meta: &[u8],
-    frames: &mut FrameSource<'_>,
-) -> Result<Box<dyn DynFilter>, PersistError> {
-    load_sharded_v2::<FHabf>(meta, frames)
 }
 
 impl DynFilter for ScalableHabf {
@@ -658,15 +565,12 @@ impl DynFilter for ScalableHabf {
     /// cells), oldest tier first — one frame set per generation, so the
     /// whole stack serves zero-copy from one mapped container.
     fn write_payload_v2<'a>(&'a self, out: &mut FrameWriter<'a>) {
-        let meta = out.meta();
-        GrowthParams::of(self).encode(meta, self.generations());
+        GrowthParams::of(self).encode(out.meta(), self.generations());
         for i in 0..self.generations() {
+            let meta = out.meta();
             meta.extend_from_slice(&(self.tier_capacity(i) as u64).to_le_bytes());
             meta.extend_from_slice(&(self.tier_inserted(i) as u64).to_le_bytes());
-            persist::encode_v2_meta(&self.tier(i).v2_image(), meta);
-        }
-        for i in 0..self.generations() {
-            persist::push_v2_frames(&self.tier(i).v2_image(), out);
+            self.tier(i).write_payload_v2(out);
         }
     }
 
@@ -767,8 +671,7 @@ fn load_scalable_habf_v2(
     let mut tiers = Vec::with_capacity(tier_count.min(scalable::MAX_TIERS));
     for _ in 0..tier_count {
         let (capacity, inserted) = scalable::decode_tier_counters(&mut r)?;
-        let d = persist::decode_v2_meta(&mut r, 0, frames)?;
-        tiers.push((Habf::from_decoded(d), capacity, inserted));
+        tiers.push((persist::decode_v2(&mut r, frames)?, capacity, inserted));
     }
     r.finish()?;
     Ok(Box::new(ScalableHabf::from_parts(growth, tiers)))
@@ -1192,87 +1095,6 @@ fn load_blocked_bloom_v2(
     )))
 }
 
-impl DynFilter for BlockedHabf {
-    fn filter_id(&self) -> &'static str {
-        "blocked-habf"
-    }
-
-    fn write_payload_v2<'a>(&'a self, out: &mut FrameWriter<'a>) {
-        let img = self.image();
-        persist::encode_v2_meta(&img, out.meta());
-        persist::push_v2_frames(&img, out);
-    }
-
-    fn backing(&self) -> Backing {
-        BlockedHabf::backing(self)
-    }
-
-    fn metadata(&self) -> Vec<(&'static str, String)> {
-        vec![
-            ("hashes per key (k)", self.h0().len().to_string()),
-            ("blocks (512-bit)", self.blocks().to_string()),
-            (
-                "block selector",
-                self.family().selector().name().to_string(),
-            ),
-            ("expressor entries", self.expressor_entries().to_string()),
-            ("bloom fill ratio", format!("{:.4}", self.fill_ratio())),
-            ("fpr envelope", format!("{:.6}", self.fpr_envelope())),
-            ("saturation", format!("{:.4}", self.saturation())),
-        ]
-    }
-
-    fn as_batch(&self) -> Option<&dyn BatchQuery> {
-        Some(self)
-    }
-
-    fn as_rebuildable(&mut self) -> Option<&mut dyn Rebuildable> {
-        Some(self)
-    }
-
-    fn rebuilt(
-        &self,
-        members: &[Vec<u8>],
-        hints: &[(Vec<u8>, f64)],
-        seed: u64,
-    ) -> Option<Result<Box<dyn DynFilter>, BuildError>> {
-        Some(rebuilt_over(hints, |negatives| {
-            self.rebuilt_from(members, negatives, seed)
-        }))
-    }
-}
-
-impl Rebuildable for BlockedHabf {
-    fn rebuild(&mut self, input: &BuildInput<'_>, seed: u64) -> Result<(), BuildError> {
-        input.validate_costs()?;
-        BlockedHabf::rebuild(self, &input.members, &input.merged_negatives(), seed);
-        Ok(())
-    }
-}
-
-fn build_blocked_habf(
-    p: &FilterParams,
-    input: &BuildInput<'_>,
-) -> Result<Box<dyn DynFilter>, BuildError> {
-    let cfg = p.habf_config(input.members.len());
-    cfg.validate()?;
-    Ok(Box::new(BlockedHabf::build(
-        &input.members,
-        &input.merged_negatives(),
-        &cfg,
-    )))
-}
-
-fn load_blocked_habf_v2(
-    meta: &[u8],
-    frames: &mut FrameSource<'_>,
-) -> Result<Box<dyn DynFilter>, PersistError> {
-    let mut r = Reader::new(meta);
-    let d = persist::decode_v2_meta(&mut r, 2, frames)?;
-    r.finish()?;
-    Ok(Box::new(BlockedHabf::try_from_decoded(d)?))
-}
-
 impl DynFilter for BinaryFuseFilter {
     fn filter_id(&self) -> &'static str {
         "binary-fuse"
@@ -1582,7 +1404,7 @@ mod tests {
         let input = BuildInput::from_members(&pos).with_costed_negatives(&neg);
         let mut habf = FilterSpec::habf().build(&input).expect("habf");
         assert!(habf.as_rebuildable().is_some(), "HABF must be rebuildable");
-        assert!(habf.as_batch().is_none());
+        assert!(habf.as_batch().is_some(), "HABF has the plan-once pipeline");
 
         let mut sharded = FilterSpec::sharded(2).build(&input).expect("sharded");
         assert!(sharded.as_batch().is_some(), "sharded must batch");
@@ -1684,6 +1506,27 @@ mod tests {
                 "{}",
                 e.id
             );
+        }
+    }
+
+    /// f-HABF's simulated family caps at 255 ids (hash ids are `u8`), so
+    /// every cell width the spec validates also builds and round-trips.
+    #[test]
+    fn fhabf_builds_and_round_trips_at_wide_cells() {
+        let (pos, neg) = sample();
+        let input = BuildInput::from_members(&pos).with_costed_negatives(&neg);
+        for spec in [FilterSpec::fhabf(), FilterSpec::sharded_fast(2)] {
+            for cell_bits in [10, 16] {
+                let spec = spec.clone().habf_shape(0.25, 3, cell_bits);
+                assert_eq!(spec.validate(), Ok(()));
+                let filter = spec.build(&input).expect("wide cells build");
+                let image = filter.to_container_bytes();
+                let loaded = load(&image).expect("wide cells load").filter;
+                assert_eq!(loaded.to_container_bytes(), image, "{cell_bits} bits");
+                for k in &pos {
+                    assert!(loaded.contains(k), "{cell_bits} bits: member dropped");
+                }
+            }
         }
     }
 

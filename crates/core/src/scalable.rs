@@ -296,54 +296,10 @@ impl ScalableHabf {
 
     /// Batch membership in input order: the answers
     /// [`Filter::contains`] gives, through the plan-once prefetch
-    /// pipeline. Per [`habf_filters::PROBE_CHUNK`] keys, each tier in
-    /// probe order plans the round-1 positions of the keys no earlier
-    /// tier accepted ([`Habf::plan_round1`]), then tests them
-    /// ([`Habf::contains_planned`]); the keys it rejects go on to the
-    /// next tier.
+    /// pipeline, the tiers in probe order.
     pub(crate) fn contains_batch_into(&self, keys: &[&[u8]], out: &mut Vec<bool>) {
-        out.clear();
-        out.resize(keys.len(), false);
-        let prefetch = habf_util::prefetch::enabled();
-        let mut pending: Vec<usize> = Vec::with_capacity(habf_filters::PROBE_CHUNK);
-        let mut plan: Vec<usize> = Vec::new();
-        let mut plan_ends: Vec<usize> = Vec::with_capacity(habf_filters::PROBE_CHUNK);
-        for (chunk, answers) in keys
-            .chunks(habf_filters::PROBE_CHUNK)
-            .zip(out.chunks_mut(habf_filters::PROBE_CHUNK))
-        {
-            if prefetch {
-                for key in chunk {
-                    habf_util::prefetch::prefetch_bytes(key);
-                }
-            }
-            pending.clear();
-            pending.extend(0..chunk.len());
-            for &t in &self.order {
-                let tier = &self.tiers[t].filter;
-                plan.clear();
-                plan_ends.clear();
-                for &i in &pending {
-                    tier.plan_round1(chunk[i], &mut plan, prefetch);
-                    plan_ends.push(plan.len());
-                }
-                let (mut from, mut kept) = (0, 0);
-                for j in 0..pending.len() {
-                    let (i, to) = (pending[j], plan_ends[j]);
-                    if tier.contains_planned(chunk[i], &plan[from..to]) {
-                        answers[i] = true;
-                    } else {
-                        pending[kept] = i;
-                        kept += 1;
-                    }
-                    from = to;
-                }
-                pending.truncate(kept);
-                if pending.is_empty() {
-                    break;
-                }
-            }
-        }
+        let tiers = self.order.iter().map(|&t| &self.tiers[t].filter);
+        crate::probe::contains_batch_any(tiers, keys, out);
     }
 
     /// Rebuilds a stack from decoded parts (the v2 codec's and the v1

@@ -5,7 +5,7 @@
 //! costed negative set, which makes it embarrassingly partitionable: a
 //! dedicated *splitter hash* (seeded xxHash-64, independent of every
 //! family function used inside the filters) assigns each key to one of
-//! `N` shards, and each shard is an ordinary [`Habf`] / [`FHabf`] built
+//! `N` shards, and each shard is an ordinary [`crate::Habf`] / [`crate::FHabf`] built
 //! over only its partition with a proportional slice of the total space
 //! budget. Because shard membership depends only on the key bytes and the
 //! splitter seed, a query touches exactly one shard — false-positive
@@ -46,7 +46,8 @@
 //! assert!(members.iter().all(|k| restored.contains(k)));
 //! ```
 
-use crate::habf::{ConfigError, FHabf, Habf, HabfConfig};
+use crate::habf::{ConfigError, HabfConfig, HabfOver};
+use crate::hashing::ShardHashing;
 use crate::persist;
 use habf_filters::Filter;
 use std::cell::RefCell;
@@ -65,88 +66,14 @@ pub const MAX_SHARDS: usize = persist::MAX_SHARDS;
 /// 1-shard build is seeded identically to the unsharded filter.
 const SHARD_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// A filter type that can serve as one shard of a [`ShardedHabf`]:
-/// buildable from a key partition and queryable from many threads at
-/// once.
-pub trait ShardFilter: Filter + Sized + Send + Sync {
-    /// Persist-format kind byte (`0` = HABF, `1` = f-HABF), shared with
-    /// the unsharded image format.
-    const KIND: u8;
+/// The shard type of a [`ShardedHabf`]: HABF over a hashing that has a
+/// registered sharded id. It has one impl, covering [`crate::Habf`]
+/// (`sharded-habf`) and [`crate::FHabf`] (`sharded-fhabf`); HABF over the
+/// blocked hashing has no sharded id, so no `ShardedHabf` over it can be
+/// named, built or written.
+pub trait ShardFilter: Filter + Clone + Send + Sync + 'static {}
 
-    /// Builds one shard over its partition of positives and negatives.
-    fn build_shard(positives: &[&[u8]], negatives: &[(&[u8], f64)], config: &HabfConfig) -> Self;
-
-    /// A fresh shard built over new partition sets at this shard's exact
-    /// geometry (see [`Habf::rebuilt_from`]).
-    fn rebuilt_shard(&self, positives: &[&[u8]], negatives: &[(&[u8], f64)], seed: u64) -> Self;
-
-    /// Where this shard's payload words live (owned heap vs a shared or
-    /// mmap'ed image view).
-    fn shard_backing(&self) -> habf_util::Backing;
-
-    /// Phase 1 of the batch pipeline: derive (and, when `prefetch`,
-    /// cache-hint) the probe positions this shard will test first for
-    /// `key`, appending them to `plan`. Default: plans nothing, for
-    /// shard types without a plannable probe phase.
-    #[inline]
-    fn plan_probe(&self, _key: &[u8], _plan: &mut Vec<usize>, _prefetch: bool) {}
-
-    /// Phase 2 of the batch pipeline: answer membership given the
-    /// positions [`ShardFilter::plan_probe`] appended for this key.
-    /// Default: ignores the plan and runs the scalar query.
-    #[inline]
-    fn contains_planned(&self, key: &[u8], _plan: &[usize]) -> bool {
-        self.contains(key)
-    }
-}
-
-impl ShardFilter for Habf {
-    const KIND: u8 = 0;
-
-    fn build_shard(positives: &[&[u8]], negatives: &[(&[u8], f64)], config: &HabfConfig) -> Self {
-        Habf::build(positives, negatives, config)
-    }
-
-    fn rebuilt_shard(&self, positives: &[&[u8]], negatives: &[(&[u8], f64)], seed: u64) -> Self {
-        self.rebuilt_from(positives, negatives, seed)
-    }
-
-    fn shard_backing(&self) -> habf_util::Backing {
-        self.backing()
-    }
-
-    fn plan_probe(&self, key: &[u8], plan: &mut Vec<usize>, prefetch: bool) {
-        self.plan_round1(key, plan, prefetch);
-    }
-
-    fn contains_planned(&self, key: &[u8], plan: &[usize]) -> bool {
-        Habf::contains_planned(self, key, plan)
-    }
-}
-
-impl ShardFilter for FHabf {
-    const KIND: u8 = 1;
-
-    fn build_shard(positives: &[&[u8]], negatives: &[(&[u8], f64)], config: &HabfConfig) -> Self {
-        FHabf::build(positives, negatives, config)
-    }
-
-    fn rebuilt_shard(&self, positives: &[&[u8]], negatives: &[(&[u8], f64)], seed: u64) -> Self {
-        self.rebuilt_from(positives, negatives, seed)
-    }
-
-    fn shard_backing(&self) -> habf_util::Backing {
-        self.backing()
-    }
-
-    fn plan_probe(&self, key: &[u8], plan: &mut Vec<usize>, prefetch: bool) {
-        self.plan_round1(key, plan, prefetch);
-    }
-
-    fn contains_planned(&self, key: &[u8], plan: &[usize]) -> bool {
-        FHabf::contains_planned(self, key, plan)
-    }
-}
+impl<H: ShardHashing> ShardFilter for HabfOver<H> {}
 
 /// Configuration of a sharded build: shard count, build parallelism, and
 /// the *total* budget shared by all shards.
@@ -243,7 +170,7 @@ pub struct ShardedHabf<F: ShardFilter> {
     inserted_since_build: usize,
 }
 
-impl<F: ShardFilter> ShardedHabf<F> {
+impl<H: ShardHashing> ShardedHabf<HabfOver<H>> {
     /// Builds all shards in parallel with `std::thread::scope`.
     ///
     /// Keys are partitioned by the splitter hash; each shard runs the full
@@ -281,13 +208,13 @@ impl<F: ShardFilter> ShardedHabf<F> {
             .collect();
 
         let threads = config.worker_threads();
-        let mut slots: Vec<Option<F>> = (0..n).map(|_| None).collect();
+        let mut slots: Vec<Option<HabfOver<H>>> = (0..n).map(|_| None).collect();
         if threads <= 1 {
             for (i, slot) in slots.iter_mut().enumerate() {
-                *slot = Some(F::build_shard(&pos_parts[i], &neg_parts[i], &configs[i]));
+                *slot = Some(HabfOver::build(&pos_parts[i], &neg_parts[i], &configs[i]));
             }
         } else {
-            let built: Vec<Vec<(usize, F)>> = std::thread::scope(|s| {
+            let built: Vec<Vec<(usize, HabfOver<H>)>> = std::thread::scope(|s| {
                 let handles: Vec<_> = (0..threads)
                     .map(|w| {
                         let pos_parts = &pos_parts;
@@ -297,7 +224,10 @@ impl<F: ShardFilter> ShardedHabf<F> {
                             (w..n)
                                 .step_by(threads)
                                 .map(|i| {
-                                    (i, F::build_shard(&pos_parts[i], &neg_parts[i], &configs[i]))
+                                    (
+                                        i,
+                                        HabfOver::build(&pos_parts[i], &neg_parts[i], &configs[i]),
+                                    )
                                 })
                                 .collect()
                         })
@@ -346,7 +276,7 @@ impl<F: ShardFilter> ShardedHabf<F> {
     /// # Panics
     /// Panics if `i` is out of range.
     #[must_use]
-    pub fn shard(&self, i: usize) -> &F {
+    pub fn shard(&self, i: usize) -> &HabfOver<H> {
         &self.shards[i]
     }
 
@@ -354,7 +284,7 @@ impl<F: ShardFilter> ShardedHabf<F> {
     /// Bloom array and HashExpressor stay cache-resident while their keys
     /// drain. Each group runs the chunked plan→prefetch→test pipeline:
     /// phase 1 hints the key bytes of the chunk, derives every key's
-    /// first-round probe positions **once** ([`ShardFilter::plan_probe`])
+    /// first-round probe positions **once** ([`HabfOver::plan_round1`])
     /// and hints their cache lines; phase 2 tests the planned positions
     /// with the lines (likely) resident. Positions are never re-derived —
     /// hashing each key twice costs more than the hidden latency repays.
@@ -410,7 +340,7 @@ impl<F: ShardFilter> ShardedHabf<F> {
                     plan.clear();
                     plan_ends.clear();
                     for &idx in chunk {
-                        shard.plan_probe(keys[idx as usize].as_ref(), plan, prefetch);
+                        shard.plan_round1(keys[idx as usize].as_ref(), plan, prefetch);
                         plan_ends.push(plan.len());
                     }
                     let mut from = 0;
@@ -479,7 +409,7 @@ impl<F: ShardFilter> ShardedHabf<F> {
     pub fn backing(&self) -> habf_util::Backing {
         self.shards
             .iter()
-            .map(|s| s.shard_backing())
+            .map(HabfOver::backing)
             .fold(habf_util::Backing::Owned, habf_util::Backing::combine)
     }
 
@@ -487,7 +417,7 @@ impl<F: ShardFilter> ShardedHabf<F> {
     /// codec, which may hand over zero-copy views, and the legacy `HABS`
     /// reader).
     pub(crate) fn from_shard_parts(
-        shards: Vec<F>,
+        shards: Vec<HabfOver<H>>,
         splitter_seed: u64,
         built_keys: usize,
         inserted_since_build: usize,
@@ -506,7 +436,7 @@ impl<F: ShardFilter> ShardedHabf<F> {
 
     /// Re-runs the full TPJO construction over fresh positive/negative
     /// sets, each shard over its partition **at its existing geometry**
-    /// (see [`Habf::rebuild`]), so the rebuild needs nothing beyond the
+    /// (see [`HabfOver::rebuild`]), so the rebuild needs nothing beyond the
     /// loaded filter — no original build config, and no risk of the
     /// per-shard budget slices drifting through rounding. Routing (shard
     /// count and splitter seed) never changes, so no key migrates between
@@ -560,7 +490,7 @@ impl<F: ShardFilter> ShardedHabf<F> {
             .enumerate()
             .map(|(i, shard)| {
                 let seed = base_seed.wrapping_add((i as u64).wrapping_mul(SHARD_SEED_STRIDE));
-                shard.rebuilt_shard(&pos_parts[i], &neg_parts[i], seed)
+                shard.rebuilt_from(&pos_parts[i], &neg_parts[i], seed)
             })
             .collect();
         Self {
@@ -572,7 +502,7 @@ impl<F: ShardFilter> ShardedHabf<F> {
     }
 }
 
-impl<F: ShardFilter> Filter for ShardedHabf<F> {
+impl<H: ShardHashing> Filter for ShardedHabf<HabfOver<H>> {
     /// Routes to exactly one shard and runs its two-round query.
     fn contains(&self, key: &[u8]) -> bool {
         self.shards[self.shard_of(key)].contains(key)
@@ -583,10 +513,7 @@ impl<F: ShardFilter> Filter for ShardedHabf<F> {
     }
 
     fn name(&self) -> &'static str {
-        match F::KIND {
-            0 => "Sharded-HABF",
-            _ => "Sharded-f-HABF",
-        }
+        H::SHARDED_NAME
     }
 }
 
@@ -625,7 +552,7 @@ fn shard_of(key: &[u8], splitter_seed: u64, shards: usize) -> usize {
 mod tests {
     use super::*;
     use crate::persist::PersistError;
-    use crate::{registry, BuildInput, DynFilter};
+    use crate::{registry, BuildInput, DynFilter, FHabf, Habf};
     use std::sync::Arc;
 
     type Workload = (Vec<Vec<u8>>, Vec<(Vec<u8>, f64)>);
@@ -768,7 +695,7 @@ mod tests {
             .payload_offset
             + 8;
         let mut bad = bytes.clone();
-        bad[meta] = FHabf::KIND;
+        bad[meta] = 1; // the f-HABF kind
         assert_eq!(registry::load(&bad).err(), Some(PersistError::WrongKind));
     }
 

@@ -448,18 +448,12 @@ impl TenantStore {
         }
 
         let snapshot = self.snapshot();
-        // Classify the rebuild before it runs: a multi-tier stack folds,
-        // an overfilled single filter resizes, and the classic case
-        // re-hashes at its existing geometry. (For a growable filter the
-        // Rebuildable impl *is* the fold — the kind is the record of why
-        // the work was paid for.)
-        let kind = if snapshot.generations() > 1 {
-            RebuildKind::Compact
-        } else if snapshot.saturation() > 1.0 + 1e-9 {
-            RebuildKind::Resize
-        } else {
-            RebuildKind::Rehash
-        };
+        // Classify the rebuild before it runs; a forced rebuild counts any
+        // overfill as saturated. (For a growable filter the Rebuildable
+        // impl *is* the fold — the kind is the record of why the work was
+        // paid for.)
+        let kind =
+            RebuildKind::classify(snapshot.generations(), snapshot.saturation() > 1.0 + 1e-9);
         let hints = self
             .log
             .lock()
@@ -644,6 +638,35 @@ mod tests {
         let snap = s.snapshot();
         for k in members(64).iter().chain(&burst) {
             assert!(snap.contains(k), "zero FN after fold-back");
+        }
+    }
+
+    /// A one-tier stack cannot grow, so inserts past its capacity
+    /// overfill it: the forced rebuild classifies that as a resize.
+    #[test]
+    fn rebuild_of_an_overfilled_single_tier_records_resize() {
+        let keys = members(64);
+        let filter = crate::ScalableHabf::build(
+            &keys,
+            &[] as &[(Vec<u8>, f64)],
+            &crate::HabfConfig::with_total_bits(640),
+        )
+        .with_max_tiers(1);
+        let s = TenantStore::new("t", Box::new(filter), AdaptPolicy::cost_threshold(5.0))
+            .with_members(keys);
+        let burst = late_keys(0..128);
+        s.insert_keys(&burst).expect("growable tenant");
+        let snap = s.snapshot();
+        assert_eq!(snap.generations(), 1, "the tier cap holds");
+        assert!(snap.saturation() > 1.0, "the one tier overfills");
+        drop(snap);
+
+        s.rebuild_now(11, 256).expect("resize");
+        assert_eq!(s.stats().last_rebuild, Some(RebuildKind::Resize));
+        let snap = s.snapshot();
+        assert!((snap.saturation() - 1.0).abs() < 1e-9, "resized to fit");
+        for k in members(64).iter().chain(&burst) {
+            assert!(snap.contains(k), "zero FN after the resize");
         }
     }
 

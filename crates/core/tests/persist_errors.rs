@@ -5,7 +5,7 @@
 //! `decode-no-panic` / `alloc-cap-before-len` analysis rules guard.
 
 use habf_core::registry;
-use habf_core::{BuildInput, FilterSpec};
+use habf_core::{BuildInput, FilterSpec, FrameWriter};
 
 fn valid_image() -> Vec<u8> {
     let keys: Vec<Vec<u8>> = (0..256).map(|i| format!("user:{i}").into_bytes()).collect();
@@ -131,4 +131,107 @@ fn undersized_buffers_are_truncated_not_indexed() {
         Err(e) => assert_eq!(e, habf_core::PersistError::Truncated),
         Ok(_) => panic!("4-byte magic must not load"),
     }
+}
+
+// ---------------------------------------------------------------------
+// A family size the cell width can address but the hashing cannot hold
+// (Table II has 22 functions, double hashing 255 ids) is a typed
+// `Corrupt`, never a panic in the family constructor. Each image below
+// is hand-written, so it does not depend on what a build can produce.
+// ---------------------------------------------------------------------
+
+const BAD_FAMILY: Option<habf_core::PersistError> =
+    Some(habf_core::PersistError::Corrupt("family size out of range"));
+
+/// All-zero words backing the crafted frames.
+static ZEROS: [u64; 8] = [0; 8];
+
+/// Appends one HABF meta block — `k = 3`, `H0 = {1, 2, 3}`, `m` Bloom
+/// bits, 4 empty cells — naming `family` functions, and its two frames.
+fn habf_block(fw: &mut FrameWriter<'_>, kind: u8, cell_bits: u8, family: u64, m: u64) {
+    let meta = fw.meta();
+    meta.extend_from_slice(&[kind, 3, cell_bits, 3, 1, 2, 3]);
+    meta.extend_from_slice(&family.to_le_bytes());
+    meta.extend_from_slice(&0u64.to_le_bytes()); // sim_seed (selector index 0)
+    meta.extend_from_slice(&m.to_le_bytes());
+    meta.extend_from_slice(&4u64.to_le_bytes()); // omega
+    meta.extend_from_slice(&0u64.to_le_bytes()); // inserted
+    fw.frame(&ZEROS[..m.div_ceil(64) as usize]);
+    fw.frame(&ZEROS[..(4 * u64::from(cell_bits)).div_ceil(64) as usize]);
+}
+
+fn container(id: &str, fw: &FrameWriter<'_>) -> Vec<u8> {
+    let mut out = Vec::new();
+    habf_core::persist::encode_container_v2(id, fw, &mut out);
+    out
+}
+
+/// The crafted image fails with the typed error on the copying and the
+/// zero-copy loaders alike.
+fn assert_bad_family(image: Vec<u8>) {
+    assert_eq!(registry::load(&image).err(), BAD_FAMILY);
+    assert_eq!(registry::load_bytes(image).err(), BAD_FAMILY);
+}
+
+#[test]
+fn habf_family_past_table_ii_is_corrupt() {
+    let mut fw = FrameWriter::new();
+    habf_block(&mut fw, 0, 6, 23, 64);
+    assert_bad_family(container("habf", &fw));
+}
+
+#[test]
+fn fhabf_family_past_u8_ids_is_corrupt() {
+    let mut fw = FrameWriter::new();
+    habf_block(&mut fw, 1, 10, 256, 64);
+    assert_bad_family(container("fhabf", &fw));
+}
+
+#[test]
+fn blocked_habf_family_past_table_ii_is_corrupt() {
+    let mut fw = FrameWriter::new();
+    habf_block(&mut fw, 2, 6, 23, 512);
+    assert_bad_family(container("blocked-habf", &fw));
+}
+
+#[test]
+fn sharded_shard_family_past_table_ii_is_corrupt() {
+    let mut fw = FrameWriter::new();
+    let meta = fw.meta();
+    meta.push(0); // kind
+    meta.extend_from_slice(&1u32.to_le_bytes()); // shards
+    meta.extend_from_slice(&[0u8; 24]); // splitter seed, built, inserted
+    habf_block(&mut fw, 0, 6, 23, 64);
+    assert_bad_family(container("sharded-habf", &fw));
+}
+
+#[test]
+fn scalable_tier_family_past_table_ii_is_corrupt() {
+    let mut fw = FrameWriter::new();
+    let meta = fw.meta();
+    meta.extend_from_slice(&[3, 6]); // k, cell_bits
+    meta.extend_from_slice(&0.25f64.to_bits().to_le_bytes()); // delta
+    meta.extend_from_slice(&0u64.to_le_bytes()); // seed
+    meta.extend_from_slice(&16u64.to_le_bytes()); // base capacity
+    meta.extend_from_slice(&256u64.to_le_bytes()); // base budget
+    meta.extend_from_slice(&16u32.to_le_bytes()); // tier cap
+    meta.extend_from_slice(&1u32.to_le_bytes()); // tiers
+    meta.extend_from_slice(&16u64.to_le_bytes()); // tier capacity
+    meta.extend_from_slice(&0u64.to_le_bytes()); // tier inserted
+    habf_block(&mut fw, 0, 6, 23, 64);
+    assert_bad_family(container("scalable-habf", &fw));
+}
+
+#[test]
+fn legacy_habf_family_past_table_ii_is_corrupt() {
+    let mut image = b"HABF\x01".to_vec(); // magic, version
+    image.extend_from_slice(&[0, 3, 6, 3, 1, 2, 3]); // kind, k, cell_bits, H0
+    image.extend_from_slice(&23u64.to_le_bytes()); // family
+    image.extend_from_slice(&0u64.to_le_bytes()); // sim_seed
+    image.extend_from_slice(&64u64.to_le_bytes()); // m
+    image.extend_from_slice(&0u64.to_le_bytes()); // bloom word
+    image.extend_from_slice(&4u64.to_le_bytes()); // omega
+    image.extend_from_slice(&0u64.to_le_bytes()); // inserted
+    image.extend_from_slice(&0u64.to_le_bytes()); // cell word
+    assert_eq!(registry::load(&image).err(), BAD_FAMILY);
 }

@@ -205,6 +205,33 @@ pub trait HashProvider: Sync {
     }
 }
 
+/// A borrowed provider is the provider it borrows: every method
+/// forwards, so a caller holding `&P` hashes exactly as `P` does.
+impl<P: HashProvider + ?Sized> HashProvider for &P {
+    #[inline]
+    fn len(&self) -> usize {
+        (**self).len()
+    }
+
+    #[inline]
+    fn hash_id(&self, id: HashId, key: &[u8]) -> u64 {
+        (**self).hash_id(id, key)
+    }
+
+    #[inline]
+    fn position(&self, id: HashId, key: &[u8], m: usize) -> usize {
+        (**self).position(id, key, m)
+    }
+
+    fn positions_batch(&self, key: &[u8], ids: &[HashId], m: usize, out: &mut Vec<u32>) {
+        (**self).positions_batch(key, ids, m, out);
+    }
+
+    fn positions_block(&self, keys: &[&[u8]], ids: &[HashId], m: usize, out: &mut Vec<u32>) {
+        (**self).positions_block(keys, ids, m, out);
+    }
+}
+
 /// Hashes every key with `f`, handing `(key index, hash)` to `emit` in
 /// key order. The three functions with a 4-key lock-step kernel take it
 /// for every run of four keys of one length under 32 bytes; all other

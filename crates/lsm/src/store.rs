@@ -450,14 +450,7 @@ impl Lsm {
     /// resize, everything else re-hashes in place.
     pub fn rebuild_filters(&mut self) -> usize {
         let (saturation, generations) = self.filter_pressure();
-        let kind = if generations > 1 {
-            RebuildKind::Compact
-        } else if saturation > 1.0 + 1e-9 {
-            RebuildKind::Resize
-        } else {
-            RebuildKind::Rehash
-        };
-        self.rebuild_filters_as(kind)
+        self.rebuild_filters_as(RebuildKind::classify(generations, saturation > 1.0 + 1e-9))
     }
 
     fn rebuild_filters_as(&mut self, kind: RebuildKind) -> usize {

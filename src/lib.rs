@@ -17,7 +17,7 @@
 //!
 //! | Re-export | Crate | Contents |
 //! |---|---|---|
-//! | [`core`] | `habf-core` | `Habf`, `FHabf`, HashExpressor, TPJO, theory bounds |
+//! | [`core`] | `habf-core` | one HABF type over three hashings (`Habf`, `FHabf`, `BlockedHabf`), HashExpressor, TPJO, theory bounds |
 //! | [`filters`] | `habf-filters` | Bloom / Xor / Weighted-Bloom / LBF / SLBF / Ada-BF baselines |
 //! | [`hashing`] | `habf-hashing` | the 22-function Table II family, double hashing |
 //! | [`workloads`] | `habf-workloads` | Shalla-like & YCSB-like generators, Zipf costs, metrics |
