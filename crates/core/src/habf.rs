@@ -331,6 +331,9 @@ impl<H: Hashing> HabfOver<H> {
     /// an earlier prefetch design that re-hashed at test time cost more
     /// than the hidden latency repaid. A layout whose positions share one
     /// line plans that line alone; phase 2 then runs round 1 lazily.
+    /// Every key of one filter plans the same number of entries (its `k`
+    /// positions, or its one line), so a caller that planned `n` keys
+    /// splits `plan` into `n` equal slices.
     #[inline]
     pub fn plan_round1(&self, key: &[u8], plan: &mut Vec<usize>, prefetch: bool) {
         if let Some(line) = self.family.plan_line(key) {

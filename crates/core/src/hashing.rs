@@ -163,7 +163,8 @@ impl ShardHashing for SimulatedFamily {
 /// A key bound to its block of a [`crate::BlockedFamily`] layout: Bloom
 /// positions are in-block offsets from the key's block start (the
 /// range argument is the filter's own `m`), chain hashes are the inner
-/// family's.
+/// family's. It lives in this private module, beside the trait whose
+/// associated type it is, so no other crate can name it.
 #[derive(Clone, Copy)]
 pub struct BlockBound<'a> {
     pub(crate) family: &'a crate::BlockedFamily,

@@ -79,8 +79,9 @@ where
 /// each filter in `filters` order plans the round-1 positions of the
 /// keys no earlier filter accepted ([`HabfOver::plan_round1`]), then
 /// tests them ([`HabfOver::contains_planned`]); the keys it rejects go
-/// on to the next filter. One filter is the plain batch; the tiered
-/// stack passes its tiers in probe order.
+/// on to the next filter. Those keys are the ones whose answer is still
+/// `false`, so no index list is kept. One filter is the plain batch;
+/// the tiered stack passes its tiers in probe order.
 pub(crate) fn contains_batch_any<'f, H: Hashing>(
     filters: impl Iterator<Item = &'f HabfOver<H>> + Clone,
     keys: &[&[u8]],
@@ -89,9 +90,7 @@ pub(crate) fn contains_batch_any<'f, H: Hashing>(
     out.clear();
     out.resize(keys.len(), false);
     let prefetch = habf_util::prefetch::enabled();
-    let mut pending: Vec<usize> = Vec::with_capacity(habf_filters::PROBE_CHUNK);
     let mut plan: Vec<usize> = Vec::new();
-    let mut plan_ends: Vec<usize> = Vec::with_capacity(habf_filters::PROBE_CHUNK);
     for (chunk, answers) in keys
         .chunks(habf_filters::PROBE_CHUNK)
         .zip(out.chunks_mut(habf_filters::PROBE_CHUNK))
@@ -101,29 +100,20 @@ pub(crate) fn contains_batch_any<'f, H: Hashing>(
                 habf_util::prefetch::prefetch_bytes(key);
             }
         }
-        pending.clear();
-        pending.extend(0..chunk.len());
         for filter in filters.clone() {
             plan.clear();
-            plan_ends.clear();
-            for &i in &pending {
-                filter.plan_round1(chunk[i], &mut plan, prefetch);
-                plan_ends.push(plan.len());
+            let mut planned_keys = 0;
+            for (key, _) in chunk.iter().zip(answers.iter()).filter(|(_, &a)| !a) {
+                filter.plan_round1(key, &mut plan, prefetch);
+                planned_keys += 1;
             }
-            let (mut from, mut kept) = (0, 0);
-            for j in 0..pending.len() {
-                let (i, to) = (pending[j], plan_ends[j]);
-                if filter.contains_planned(chunk[i], &plan[from..to]) {
-                    answers[i] = true;
-                } else {
-                    pending[kept] = i;
-                    kept += 1;
-                }
-                from = to;
-            }
-            pending.truncate(kept);
-            if pending.is_empty() {
+            if planned_keys == 0 {
                 break;
+            }
+            let width = plan.len() / planned_keys;
+            let open = chunk.iter().zip(answers.iter_mut()).filter(|(_, a)| !**a);
+            for ((key, answer), planned) in open.zip(plan.chunks_exact(width)) {
+                *answer = filter.contains_planned(key, planned);
             }
         }
     }

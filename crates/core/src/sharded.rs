@@ -290,9 +290,9 @@ impl<H: ShardHashing> ShardedHabf<HabfOver<H>> {
     /// hashing each key twice costs more than the hidden latency repays.
     ///
     /// All scratch (per-key shard ids, group offsets, the grouped order,
-    /// the probe plan and its per-key bounds) lives in a thread-local and
-    /// is reused across calls, so a serving thread pays the grouping
-    /// allocations once, not per batch.
+    /// the probe plan) lives in a thread-local and is reused across
+    /// calls, so a serving thread pays the grouping allocations once, not
+    /// per batch.
     #[must_use]
     pub fn contains_batch(&self, keys: &[impl AsRef<[u8]>]) -> Vec<bool> {
         let n = self.shards.len();
@@ -327,7 +327,7 @@ impl<H: ShardHashing> ShardedHabf<HabfOver<H>> {
                 order[starts[s as usize]] = idx as u32;
                 starts[s as usize] += 1;
             }
-            let (plan, plan_ends) = (&mut scratch.plan, &mut scratch.plan_ends);
+            let plan = &mut scratch.plan;
             let mut begin = 0;
             for (s, shard) in self.shards.iter().enumerate() {
                 let end = starts[s];
@@ -338,16 +338,13 @@ impl<H: ShardHashing> ShardedHabf<HabfOver<H>> {
                         }
                     }
                     plan.clear();
-                    plan_ends.clear();
                     for &idx in chunk {
                         shard.plan_round1(keys[idx as usize].as_ref(), plan, prefetch);
-                        plan_ends.push(plan.len());
                     }
-                    let mut from = 0;
-                    for (&idx, &to) in chunk.iter().zip(plan_ends.iter()) {
+                    let width = plan.len() / chunk.len();
+                    for (&idx, planned) in chunk.iter().zip(plan.chunks_exact(width)) {
                         out[idx as usize] =
-                            shard.contains_planned(keys[idx as usize].as_ref(), &plan[from..to]);
-                        from = to;
+                            shard.contains_planned(keys[idx as usize].as_ref(), planned);
                     }
                 }
                 begin = end;
@@ -527,10 +524,9 @@ struct BatchScratch {
     starts: Vec<usize>,
     /// Key indices grouped by shard.
     order: Vec<u32>,
-    /// Flat first-round probe positions of one chunk.
+    /// Flat first-round probe positions of one chunk, the same number
+    /// per key.
     plan: Vec<usize>,
-    /// Per-key end offsets into `plan`.
-    plan_ends: Vec<usize>,
 }
 
 thread_local! {
