@@ -250,7 +250,9 @@ impl HashExpressor {
     /// Retrieves the stored subset for `key`, or `None` when the key keeps
     /// `H0` (empty cell on the chain, or the final cell's endbit unset).
     /// The subset comes back inline, so a query's round 2 allocates
-    /// nothing.
+    /// nothing. Every returned id names a member of `provider`: a cell
+    /// naming any other id, which only a corrupt image can hold, ends the
+    /// walk with `None`.
     #[must_use]
     pub fn query<P: HashProvider>(&self, key: &[u8], provider: &P) -> Option<Chain> {
         let omega = self.cells.len();
@@ -267,6 +269,9 @@ impl HashExpressor {
                 return None;
             }
             let h = (value & self.index_mask()) as HashId;
+            if h == EMPTY_HASH_ID || usize::from(h) > provider.len() {
+                return None;
+            }
             phi.ids[step] = h;
             phi.len = step + 1;
             if step + 1 == self.k {

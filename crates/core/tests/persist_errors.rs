@@ -147,8 +147,16 @@ const BAD_FAMILY: Option<habf_core::PersistError> =
 static ZEROS: [u64; 8] = [0; 8];
 
 /// Appends one HABF meta block — `k = 3`, `H0 = {1, 2, 3}`, `m` Bloom
-/// bits, 4 empty cells — naming `family` functions, and its two frames.
-fn habf_block(fw: &mut FrameWriter<'_>, kind: u8, cell_bits: u8, family: u64, m: u64) {
+/// bits, 4 cells packed in the one word `cells` — naming `family`
+/// functions, and its two frames.
+fn habf_block(
+    fw: &mut FrameWriter<'_>,
+    kind: u8,
+    cell_bits: u8,
+    family: u64,
+    m: u64,
+    cells: &'static [u64; 1],
+) {
     let meta = fw.meta();
     meta.extend_from_slice(&[kind, 3, cell_bits, 3, 1, 2, 3]);
     meta.extend_from_slice(&family.to_le_bytes());
@@ -157,7 +165,7 @@ fn habf_block(fw: &mut FrameWriter<'_>, kind: u8, cell_bits: u8, family: u64, m:
     meta.extend_from_slice(&4u64.to_le_bytes()); // omega
     meta.extend_from_slice(&0u64.to_le_bytes()); // inserted
     fw.frame(&ZEROS[..m.div_ceil(64) as usize]);
-    fw.frame(&ZEROS[..(4 * u64::from(cell_bits)).div_ceil(64) as usize]);
+    fw.frame(cells);
 }
 
 fn container(id: &str, fw: &FrameWriter<'_>) -> Vec<u8> {
@@ -176,21 +184,21 @@ fn assert_bad_family(image: Vec<u8>) {
 #[test]
 fn habf_family_past_table_ii_is_corrupt() {
     let mut fw = FrameWriter::new();
-    habf_block(&mut fw, 0, 6, 23, 64);
+    habf_block(&mut fw, 0, 6, 23, 64, &[0]);
     assert_bad_family(container("habf", &fw));
 }
 
 #[test]
 fn fhabf_family_past_u8_ids_is_corrupt() {
     let mut fw = FrameWriter::new();
-    habf_block(&mut fw, 1, 10, 256, 64);
+    habf_block(&mut fw, 1, 10, 256, 64, &[0]);
     assert_bad_family(container("fhabf", &fw));
 }
 
 #[test]
 fn blocked_habf_family_past_table_ii_is_corrupt() {
     let mut fw = FrameWriter::new();
-    habf_block(&mut fw, 2, 6, 23, 512);
+    habf_block(&mut fw, 2, 6, 23, 512, &[0]);
     assert_bad_family(container("blocked-habf", &fw));
 }
 
@@ -201,7 +209,7 @@ fn sharded_shard_family_past_table_ii_is_corrupt() {
     meta.push(0); // kind
     meta.extend_from_slice(&1u32.to_le_bytes()); // shards
     meta.extend_from_slice(&[0u8; 24]); // splitter seed, built, inserted
-    habf_block(&mut fw, 0, 6, 23, 64);
+    habf_block(&mut fw, 0, 6, 23, 64, &[0]);
     assert_bad_family(container("sharded-habf", &fw));
 }
 
@@ -218,7 +226,7 @@ fn scalable_tier_family_past_table_ii_is_corrupt() {
     meta.extend_from_slice(&1u32.to_le_bytes()); // tiers
     meta.extend_from_slice(&16u64.to_le_bytes()); // tier capacity
     meta.extend_from_slice(&0u64.to_le_bytes()); // tier inserted
-    habf_block(&mut fw, 0, 6, 23, 64);
+    habf_block(&mut fw, 0, 6, 23, 64, &[0]);
     assert_bad_family(container("scalable-habf", &fw));
 }
 
@@ -234,4 +242,18 @@ fn legacy_habf_family_past_table_ii_is_corrupt() {
     image.extend_from_slice(&0u64.to_le_bytes()); // inserted
     image.extend_from_slice(&0u64.to_le_bytes()); // cell word
     assert_eq!(registry::load(&image).err(), BAD_FAMILY);
+}
+
+/// A family the hashing can hold passes decode even when the expressor
+/// cells name ids past it; only a query's chain walk reads those ids,
+/// and it must answer, not index out of the family.
+#[test]
+fn expressor_ids_past_the_family_answer_instead_of_panicking() {
+    // Every 4-bit cell names id 5 of a 3-function family.
+    for (id, kind, m) in [("habf", 0, 64), ("fhabf", 1, 64), ("blocked-habf", 2, 512)] {
+        let mut fw = FrameWriter::new();
+        habf_block(&mut fw, kind, 4, 3, m, &[0x5555]);
+        let loaded = registry::load(&container(id, &fw)).expect("the image decodes");
+        assert!(!loaded.filter.contains(b"any key"), "{id}");
+    }
 }
